@@ -212,7 +212,8 @@ int main(int argc, char** argv) {
   bench::note("workload: v::wload production day (warm-up, steady, flash");
   bench::note("crowd, churn, cool-down) against the sharded prefix fabric;");
   bench::note("every shard is one receptionist + 4-worker team on its own");
-  bench::note("host.  Throughput counts successful opens over the whole day.");
+  bench::note("host.  Throughput counts successful opens in the first steady");
+  bench::note("phase, per simulated second of that phase.");
 
   wload::ForestSpec forest_spec;
   wload::Scenario scenario = wload::Scenario::production_day(seed == 0 ? 1 : seed);

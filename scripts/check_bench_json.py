@@ -28,6 +28,7 @@ Expected shape:
        "throughput_per_s": number, "p50_ms": number, "p99_ms": number,
        "flash_p99_ms": number, "map_fetches": int, "stale_retries": int,
        "noreply_retries": int, "handoffs": int, "handbacks": int}
+      # stale_retries must be <= hosts * (handoffs + handbacks)
     ],
     "sections": [
       {"id": str, "title": str,
@@ -168,6 +169,15 @@ def check(path):
             if cell["wrong"] != 0:
                 return fail(path, f'{where}.wrong must be 0, '
                             f'got {cell["wrong"]}')
+            # Only a change of shard owner may stale a client's map, so a
+            # day pays at most one stale refusal per host per membership
+            # change.  More means table edits are staling maps again.
+            changes = cell["handoffs"] + cell["handbacks"]
+            if cell["stale_retries"] > cell["hosts"] * changes:
+                return fail(path, f'{where}.stale_retries '
+                            f'{cell["stale_retries"]} exceeds hosts x '
+                            f'(handoffs + handbacks) = '
+                            f'{cell["hosts"] * changes}')
             extra = set(cell) - {"cell", "shards", "hosts", "opens",
                                  "errors", "wrong", "throughput_per_s",
                                  "p50_ms", "p99_ms", "flash_p99_ms",

@@ -502,7 +502,8 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
   // answer kStaleContext INSTEAD of interpreting against a name space the
   // client no longer means — the §2.2 silent-wrong-answer, made loud.
   if (msg::cs::has_expected_generation(env.request) &&
-      msg::cs::expected_generation(env.request) != generation(ctx)) {
+      msg::cs::expected_generation(env.request) !=
+          validation_generation(ctx)) {
 #if V_TRACE_ENABLED
     cached_counter(self, m_stale_context_, "stale_context").inc();
 #endif

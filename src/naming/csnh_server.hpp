@@ -199,6 +199,17 @@ class CsnhServer {
     return ctx == kDefaultContext;
   }
 
+  /// The generation a request's expected generation must equal (PROTOCOL.md
+  /// 11).  Default: the context's content generation, so any gated mutation
+  /// stales what a client cached.  A server whose clients cache something
+  /// coarser than the contents — a shard's ownership of a prefix range —
+  /// validates against that instead.  Binding and origin hints keep carrying
+  /// the content generation either way: they report table edits.
+  [[nodiscard]] virtual std::uint32_t validation_generation(
+      ContextId ctx) const {
+    return generation(ctx);
+  }
+
   /// Split off the component of `name` starting at `index` (also skipping
   /// syntax like separators); sets `next` to where the next one begins.
   /// Default: '/'-separated.  Override for foreign syntaxes.

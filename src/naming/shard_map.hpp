@@ -8,15 +8,19 @@
 // prefix is one upper-bound probe.
 //
 // The generation field is what makes a stale map SAFE rather than merely
-// detectable-later: it is the shard's default-context generation (the PR 4
-// validated-caching counter) at publish time, and clients quote it as the
-// expected generation of every request they route with the map.  Any shard
-// whose slice has changed since — a handoff added or removed entries, or
-// the server restarted with a fresh generation floor — refuses with
-// kStaleContext before interpreting a single component, so a wrong answer
-// from a stale map is structurally impossible; the client refetches and
-// retries (never silently wrong, paper section 2.2's lesson applied to the
-// map itself).
+// detectable-later: it is the shard's OWNERSHIP generation at publish time,
+// and clients quote it as the expected generation of every request they
+// route with the map (the validated-caching check, PROTOCOL.md 11).  It is drawn from
+// the domain-wide generation sequence, fresh for every server incarnation,
+// and advanced only when a live shard's range shrinks — before the first
+// binding leaves it.  So any map that routes a prefix to a shard that no
+// longer holds it is refused with kStaleContext before a single component
+// is interpreted, and a wrong answer from a stale map is structurally
+// impossible; the client refetches and retries (never silently wrong, paper
+// section 2.2's lesson applied to the map itself).  Edits to a shard's
+// table — handoff adds, handback deletes, admin prefix changes — leave the
+// ownership generation alone: the shard answers them from its current
+// table, so they cost clients no refetch.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +44,7 @@ struct ShardMap {
   struct Shard {
     std::string lo;            ///< inclusive lower bound of the owned range
     std::uint32_t server_pid = 0;
-    std::uint32_t generation = 0;  ///< shard's default-context generation
+    std::uint32_t generation = 0;  ///< shard's ownership generation
   };
 
   std::uint32_t version = 0;

@@ -7,6 +7,28 @@
 
 namespace v::servers {
 
+namespace {
+
+/// Churn replay steps retry a shed (kBusy) or a lost transaction (kNoReply,
+/// kTimeout) at this pace, up to this many tries per binding.
+constexpr sim::SimDuration kChurnRetryDelay = 5 * sim::kMillisecond;
+constexpr int kChurnAttempts = 64;
+
+bool transient(ReplyCode rc) noexcept {
+  return rc == ReplyCode::kBusy || rc == ReplyCode::kNoReply ||
+         rc == ReplyCode::kTimeout;
+}
+
+}  // namespace
+
+sim::Co<void> ShardPrefixServer::on_start(ipc::Process& self) {
+  // Fresh incarnation, fresh ownership: the generation floor run() just drew
+  // from the domain sequence.  A map entry quoting the previous
+  // incarnation's ownership can never match it.
+  ownership_generation_ = generation(naming::kDefaultContext);
+  co_await ContextPrefixServer::on_start(self);
+}
+
 V_BORROWS_SPAN  // env outlives the handler: the worker holds it across the dispatch
 sim::Co<msg::Message> ShardPrefixServer::handle_custom(ipc::Process& self,
                                                        ipc::Envelope& env) {
@@ -116,7 +138,7 @@ naming::ShardMap ShardFabric::snapshot() const {
     map.shards.push_back(naming::ShardMap::Shard{
         .lo = sh.lo,
         .server_pid = sh.pid.raw,
-        .generation = sh.server->generation(naming::kDefaultContext)});
+        .generation = sh.server->ownership_generation()});
   }
   std::sort(map.shards.begin(), map.shards.end(),
             [](const naming::ShardMap::Shard& a,
@@ -139,39 +161,57 @@ std::size_t ShardFabric::successor_of(std::size_t i) const {
 }
 
 void ShardFabric::on_crash(std::size_t i) {
+  Shard& sh = shards_[i];
+  const std::uint64_t restarts = sh.restarts;
   const std::size_t succ = successor_of(i);
+  sh.absorbed_by = succ;
   if (succ == i) return;
-  absorbed_by_ = succ;
   // The dead shard STAYS published until the successor holds every binding:
   // a map without it would route its range to a shard that answers
   // kNotFound — a wrong answer.  Published-but-dead only costs kNoReply
-  // retries, which the router absorbs.
+  // retries, which the router absorbs.  The successor's ownership
+  // generation stays put: its range only grows, and no map routes the
+  // grown part to it until the handoff publishes one.
   const sim::SimTime started = dom_.now();
   shards_[succ].host->spawn(
       "handoff" + std::to_string(i),
       // vlint: allow(coro-param-lifetime): spawn keeps the closure alive in ProcessRecord::body_keepalive for the process lifetime
-      [this, i, succ, started](ipc::Process self) -> sim::Co<void> {
+      [this, i, succ, restarts, started](ipc::Process self) -> sim::Co<void> {
         svc::Rt rt(self,
                    svc::NameEnv{.prefix_server = shards_[succ].pid,
                                 .current = {shards_[succ].pid,
                                             naming::kDefaultContext}});
         for (const Binding& b : shards_[i].home) {
           const auto& e = b.second;
-          ReplyCode rc;
-          if (e.group != 0) {
-            rc = co_await rt.add_group_prefix(b.first, e.group,
-                                              e.logical_context);
-          } else if (e.logical) {
-            rc = co_await rt.add_logical_prefix(b.first, e.service,
+          ReplyCode rc = ReplyCode::kNoReply;
+          for (int attempt = 0; attempt < kChurnAttempts && transient(rc);
+               ++attempt) {
+            if (attempt > 0) {
+              ++churn_.replay_retries;
+              co_await self.delay(kChurnRetryDelay);
+            }
+            // A restart overtook the replay: the shard serves its own range
+            // again and the handback owns the successor's copies.
+            if (shards_[i].restarts != restarts) co_return;
+            if (e.group != 0) {
+              rc = co_await rt.add_group_prefix(b.first, e.group,
                                                 e.logical_context);
-          } else {
-            rc = co_await rt.add_prefix(b.first, e.target);
+            } else if (e.logical) {
+              rc = co_await rt.add_logical_prefix(b.first, e.service,
+                                                  e.logical_context);
+            } else {
+              rc = co_await rt.add_prefix(b.first, e.target);
+            }
           }
-          // kNameExists = a duplicate-suppressed retransmission already
-          // landed this binding; anything else is genuinely unexpected but
-          // must not wedge the handoff.
-          (void)rc;
+          // kNameExists: an earlier attempt (or an earlier churn cycle)
+          // already landed this binding.  Anything else lost it, so the dead
+          // shard must not be retired.
+          if (rc != ReplyCode::kOk && rc != ReplyCode::kNameExists) {
+            ++churn_.handoff_failures;
+            co_return;
+          }
         }
+        if (shards_[i].restarts != restarts) co_return;
         complete_handoff(i, succ, sim::to_ms(self.now() - started));
       });
 }
@@ -188,15 +228,22 @@ void ShardFabric::complete_handoff(std::size_t i, std::size_t succ,
 void ShardFabric::on_restart(std::size_t i) {
   Shard& sh = shards_[i];
   if (!sh.host->alive()) sh.host->restart();
+  ++sh.restarts;
   // Same server object, fresh incarnation: the prefix table persists
-  // (durable storage) but the generation floor is re-drawn, so every
-  // generation published before the crash now mismatches — stale maps are
+  // (durable storage) but the ownership generation is re-drawn, so every
+  // map entry published before the crash now mismatches — stale maps are
   // refused, never wrongly served.
   ShardPrefixServer* srv = sh.server.get();
   const std::string label = cfg_.host_stem + std::to_string(i);
   sh.pid = sh.host->spawn(label,
                           [srv](ipc::Process p) { return srv->run(p); });
-  const std::size_t succ = absorbed_by_;
+  const std::size_t succ = sh.absorbed_by;
+  if (!sh.published) {
+    // The successor's range shrinks back: maps that route the returning
+    // range to it must be refused before its copies start to disappear.
+    shards_[succ].server->set_ownership_generation(
+        dom_.next_name_generation());
+  }
   // Publish the restored partition FIRST, then retire the successor's
   // copies: in the window between, both shards can serve the range
   // (identical bindings), while the reverse order would leave a map whose
@@ -205,9 +252,11 @@ void ShardFabric::on_restart(std::size_t i) {
   sh.lo = sh.home_lo;
   shards_[succ].lo = shards_[succ].home_lo;
   ++version_;
+  if (succ == i) return;  // nobody absorbed the range: nothing to retire
   const sim::SimTime started = dom_.now();
   sh.host->spawn(
       "handback" + std::to_string(i),
+      // The agent runs on the restarted host, so a second crash kills it.
       // vlint: allow(coro-param-lifetime): spawn keeps the closure alive in ProcessRecord::body_keepalive for the process lifetime
       [this, i, succ, started](ipc::Process self) -> sim::Co<void> {
         svc::Rt rt(self,
@@ -215,15 +264,25 @@ void ShardFabric::on_restart(std::size_t i) {
                                 .current = {shards_[succ].pid,
                                             naming::kDefaultContext}});
         for (const Binding& b : shards_[i].home) {
-          (void)co_await rt.delete_prefix(b.first);
+          ReplyCode rc = ReplyCode::kNoReply;
+          for (int attempt = 0; attempt < kChurnAttempts && transient(rc);
+               ++attempt) {
+            if (attempt > 0) {
+              ++churn_.replay_retries;
+              co_await self.delay(kChurnRetryDelay);
+            }
+            rc = co_await rt.delete_prefix(b.first);
+          }
+          // kNotFound: the handoff never got this far, or an earlier
+          // attempt already deleted it.  A refused delete only leaves a
+          // stray copy outside every range a map routes to the successor.
+          if (rc != ReplyCode::kOk && rc != ReplyCode::kNotFound) {
+            ++churn_.handback_failures;
+          }
         }
-        complete_handback(succ, sim::to_ms(self.now() - started));
+        ++churn_.handbacks;
+        churn_.last_handback_ms = sim::to_ms(self.now() - started);
       });
-}
-
-void ShardFabric::complete_handback(std::size_t /*succ*/, double took_ms) {
-  ++churn_.handbacks;
-  churn_.last_handback_ms = took_ms;
 }
 
 }  // namespace v::servers

@@ -16,15 +16,17 @@
 //     answers with the current map and every other member stays silent,
 //     the same one-speaker discipline as recovery probes, so the fetch
 //     survives any crash without ever drawing two replies;
-//   * every routed request quotes the shard generation from the map as its
-//     expected generation, so a stale map is refused with kStaleContext by
-//     the PR 4 machinery — never answered wrongly;
+//   * every routed request quotes the shard's OWNERSHIP generation from the
+//     map as its expected generation.  It changes only when a live shard's
+//     range shrinks (or the shard restarts), so a map that routes a prefix
+//     to a shard that no longer owns it is refused with kStaleContext by the
+//     validated-caching check (PROTOCOL.md 11) — never answered wrongly —
+//     while edits to a shard's table leave every client's map valid;
 //   * membership churn (v::fault crash/restart schedules) triggers shard
 //     HANDOFF: a coordinator agent replays the dead shard's bindings into
-//     a successor through the ordinary AddContextName protocol (gated,
-//     generation-bumping), then publishes a new map version.  Clients
-//     follow via kNoReply/kStaleContext -> refetch, the same repair loop
-//     the paper's section 4 rebinding uses.
+//     a successor through the ordinary AddContextName protocol, then
+//     publishes a new map version.  Clients follow via kNoReply/kStaleContext
+//     -> refetch, the same repair loop the paper's section 4 rebinding uses.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +52,27 @@ class ShardPrefixServer : public ContextPrefixServer {
                             team),
         fabric_(fabric) {}
 
+  /// The generation the shard map quotes for this shard.  Each incarnation
+  /// starts from its fresh generation floor; the fabric advances it when the
+  /// shard's range shrinks.  Table mutations leave it alone: whatever range
+  /// a map assigns under this generation, the shard holds every binding in
+  /// it and answers from its current table.
+  [[nodiscard]] std::uint32_t ownership_generation() const noexcept {
+    return ownership_generation_;
+  }
+  void set_ownership_generation(std::uint32_t gen) noexcept {
+    ownership_generation_ = gen;
+  }
+
  protected:
+  sim::Co<void> on_start(ipc::Process& self) override;
   sim::Co<msg::Message> handle_custom(ipc::Process& self,
                                       ipc::Envelope& env) override;
+  /// A shard serves only its default context, validated by ownership.
+  [[nodiscard]] std::uint32_t validation_generation(
+      naming::ContextId /*ctx*/) const override {
+    return ownership_generation_;
+  }
 
   /// Map fetches ride the express lane: a saturated shard's queue wait
   /// exceeds the fetch's group timeout, and a map nobody can fetch would
@@ -63,6 +83,7 @@ class ShardPrefixServer : public ContextPrefixServer {
 
  private:
   ShardFabric* fabric_;
+  std::uint32_t ownership_generation_ = 0;
 };
 
 /// The fabric: owns the shard servers, their hosts, the authoritative map,
@@ -109,12 +130,13 @@ class ShardFabric {
   /// (a stray second reply could complete the client's next transaction).
   [[nodiscard]] bool designated_responder(ipc::ProcessId pid) const;
 
-  /// The current map with LIVE generations: each published shard's entry
-  /// carries its default-context generation as of this call, which is the
-  /// value the expected-generation check compares against.  A shard whose
-  /// handoff is still in flight stays published (requests to it fail fast
-  /// with kNoReply and the client retries) so the map always covers the
-  /// whole prefix space.
+  /// The current map: each published shard's entry carries its ownership
+  /// generation as of this call, which is the value the expected-generation
+  /// check compares against.  Content mutations (handoff adds, handback
+  /// deletes, admin prefix edits) do not change it, so they never stale a
+  /// client's map.  A shard whose handoff is still in flight stays
+  /// published (requests to it fail fast with kNoReply and the client
+  /// retries) so the map always covers the whole prefix space.
   [[nodiscard]] naming::ShardMap snapshot() const;
 
   // --- membership churn ----------------------------------------------------
@@ -123,12 +145,15 @@ class ShardFabric {
   // already crashed/restarted by the plan when the callback runs.
 
   /// Shard `i`'s host died: start the handoff agent that replays its
-  /// bindings into a successor shard and then publishes the new map.
+  /// bindings into a successor shard and then publishes the new map.  A
+  /// binding the successor refuses for good leaves the dead shard published
+  /// (its range answers kNoReply until the restart) and counts a failure.
   void on_crash(std::size_t i);
 
-  /// Shard `i`'s host is back: respawn the server (fresh incarnation,
-  /// fresh generation floor), publish a map that returns its range, then
-  /// retire the successor's copies of the handed-off bindings.
+  /// Shard `i`'s host is back: respawn the server (fresh incarnation, fresh
+  /// ownership generation), advance the successor's ownership generation if
+  /// it had absorbed the range, publish a map that returns the range, then
+  /// retire the successor's copies.  A handoff still replaying is abandoned.
   void on_restart(std::size_t i);
 
   struct ChurnStats {
@@ -136,6 +161,14 @@ class ShardFabric {
     std::uint64_t handbacks = 0;
     double last_handoff_ms = 0;   ///< agent start -> map republished
     double last_handback_ms = 0;  ///< restart -> cleanup complete
+    /// Handoff adds and handback deletes re-sent after a shed (kBusy) or a
+    /// lost transaction (kNoReply / kTimeout).
+    std::uint64_t replay_retries = 0;
+    /// Handoffs given up because the successor refused a binding for good.
+    std::uint64_t handoff_failures = 0;
+    /// Handback deletes the successor refused for good (a stray copy stays
+    /// in its table, outside every range a map routes to it).
+    std::uint64_t handback_failures = 0;
   };
   [[nodiscard]] const ChurnStats& churn_stats() const noexcept {
     return churn_;
@@ -152,19 +185,21 @@ class ShardFabric {
     std::string home_lo;  ///< lower bound of the shard's own range
     bool published = true;
     std::vector<Binding> home;  ///< the shard's own bindings
+    std::size_t absorbed_by = 0;  ///< successor chosen at the last crash
+    /// A handoff agent that sees this move was overtaken by a restart and
+    /// abandons its work.
+    std::uint64_t restarts = 0;
   };
 
   /// Successor for a dying shard: the published live shard preceding it in
   /// lo order, else the following one (which then inherits `lo`).
   [[nodiscard]] std::size_t successor_of(std::size_t i) const;
   void complete_handoff(std::size_t i, std::size_t succ, double took_ms);
-  void complete_handback(std::size_t succ, double took_ms);
 
   ipc::Domain& dom_;
   Config cfg_;
   std::vector<Shard> shards_;
   std::uint32_t version_ = 0;
-  std::size_t absorbed_by_ = 0;  ///< successor of the in-churn shard
   ChurnStats churn_;
 };
 

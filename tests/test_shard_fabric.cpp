@@ -4,12 +4,15 @@
 //     self-delimiting parse, range routing;
 //   - live fabric: clients multicast-fetch the map and route opens one-hop
 //     to the owning shard, verified against the content oracle;
-//   - validated caching: a gated mutation bumps the shard's generation, so
-//     a client holding yesterday's map is REFUSED (kStaleContext), refetches
-//     and succeeds — never answered wrongly;
+//   - ownership validation: a shard whose range shrank refuses a client
+//     holding yesterday's map (kStaleContext); the client refetches and
+//     succeeds — never answered wrongly.  Edits to a shard's table leave
+//     every map valid;
 //   - churn: crash a shard mid-run, hand its range to a successor, restart
 //     it, hand the range back.  Clients keep opening throughout; the oracle
-//     must count zero wrong replies and the map version must advance.
+//     must count zero wrong replies and the map version must advance.  A
+//     restart that overtakes the handoff, and a successor that sheds the
+//     replay, must not lose a binding either.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -117,8 +120,10 @@ struct FabricFixture {
   std::vector<std::unique_ptr<servers::FileServer>> fs;
   servers::ShardFabric fabric;
 
-  explicit FabricFixture(std::size_t shards, wload::ForestSpec spec)
-      : forest(spec), fabric(dom, {.shards = shards}) {
+  explicit FabricFixture(std::size_t shards, wload::ForestSpec spec,
+                         naming::TeamConfig team = {.workers = 4,
+                                                    .queue_cap = 64})
+      : forest(spec), fabric(dom, {.shards = shards, .team = team}) {
     std::vector<servers::FileServer*> ptrs;
     std::vector<ipc::ProcessId> pids;
     for (int i = 0; i < 2; ++i) {
@@ -142,12 +147,29 @@ struct FabricFixture {
     return spec;
   }
 
+  /// Index of a file whose prefix the freshly installed fabric routes to
+  /// `shard` (file_count() when there is none).
+  [[nodiscard]] std::size_t file_on(std::size_t shard) const {
+    const ShardMap map = fabric.snapshot();
+    std::size_t f = 0;
+    while (f < forest.file_count() &&
+           map.route(forest.prefix(forest.prefix_of(f))) != shard) {
+      ++f;
+    }
+    return f;
+  }
+
   /// Open `name` through `router` and verify the bytes against the oracle.
-  /// Returns false on any non-ok step; bumps `wrong` on an oracle mismatch.
+  /// Returns false on any non-ok step; bumps `wrong` on an oracle mismatch
+  /// or a kNotFound (every forest name exists, so "no such name" is a wrong
+  /// answer, not a refusal).
   static sim::Co<bool> open_verify(svc::ShardRouter& router,
                                    const std::string& name, int& wrong) {
     auto opened = co_await router.open(name, naming::wire::kOpenRead);
-    if (!opened.ok()) co_return false;
+    if (!opened.ok()) {
+      if (opened.code() == ReplyCode::kNotFound) ++wrong;
+      co_return false;
+    }
     svc::File file = opened.take().file;
     auto bytes = co_await file.read_all();
     bool ok = bytes.ok();
@@ -162,6 +184,41 @@ struct FabricFixture {
     }
     (void)co_await file.close();
     co_return ok;
+  }
+
+  /// Outcome of a fleet of clients, summed over every client.
+  struct Fleet {
+    int oks = 0;
+    int wrong = 0;
+    int hard_failures = 0;
+    std::uint64_t stale_retries = 0;
+    std::uint64_t map_fetches = 0;
+  };
+
+  /// Spawn `clients` hosts that each round-robin over every file (starting
+  /// at a different one) with `pause` between opens, until `until`.
+  void spawn_fleet(std::size_t clients, sim::SimTime until,
+                   sim::SimDuration pause, Fleet& fleet) {
+    for (std::size_t c = 0; c < clients; ++c) {
+      ipc::Host& ws = dom.add_host("ws" + std::to_string(c));
+      ws.spawn("client", [this, c, until, pause,
+                          &fleet](ipc::Process self) -> sim::Co<void> {
+        svc::Rt rt(self, svc::NameEnv{});
+        svc::ShardRouter router(rt, {.fabric_group = fabric.group()});
+        std::size_t f = c % forest.file_count();
+        while (self.now() < until) {
+          if (co_await open_verify(router, forest.name(f), fleet.wrong)) {
+            ++fleet.oks;
+          } else {
+            ++fleet.hard_failures;
+          }
+          f = (f + 1) % forest.file_count();
+          co_await self.delay(pause);
+        }
+        fleet.stale_retries += router.stats().stale_retries;
+        fleet.map_fetches += router.stats().map_fetches;
+      });
+    }
   }
 };
 
@@ -200,28 +257,34 @@ TEST(ShardFabric, FetchRouteAndVerifyEveryFile) {
 
 TEST(ShardFabric, StaleMapIsRefusedThenRepaired) {
   FabricFixture fx(2, FabricFixture::small_spec());
-  const std::string name = fx.forest.name(0);  // lives on shard 0
+  const std::size_t f = fx.file_on(1);  // shard 1's range
+  ASSERT_LT(f, fx.forest.file_count());
+  const std::string name = fx.forest.name(f);
 
   int wrong = 0;
   svc::ShardRouter::Stats stats;
   ipc::Host& ws = fx.dom.add_host("ws");
   ws.spawn("client", [&](ipc::Process self) -> sim::Co<void> {
+    // Shard 1 dies and its range is handed to shard 0.
+    fx.fabric.host(1).crash();
+    fx.fabric.on_crash(1);
+    while (fx.fabric.churn_stats().handoffs == 0) {
+      co_await self.delay(10 * kMillisecond);
+    }
+    // Warm the map: it routes shard 1's range to shard 0.
     svc::Rt rt(self, svc::NameEnv{});
     svc::ShardRouter router(rt, {.fabric_group = fx.fabric.group()});
-    // Warm the map.
     EXPECT_TRUE(co_await FabricFixture::open_verify(router, name, wrong));
+    EXPECT_EQ(router.map().shards.size(), 1u);
 
-    // A gated mutation on shard 0 bumps its default-context generation;
-    // the router's cached map now quotes yesterday's number.
-    svc::Rt admin(self, svc::NameEnv{
-        .prefix_server = fx.fabric.pid(0),
-        .current = {fx.fabric.pid(0), naming::kDefaultContext}});
-    const ReplyCode rc = co_await admin.add_prefix(
-        "aaa-fresh", {fx.fabric.pid(0), naming::kDefaultContext});
-    EXPECT_EQ(rc, ReplyCode::kOk);
+    // The restart shrinks shard 0's range back, so its ownership generation
+    // moves before the handback deletes a single copy; the router's cached
+    // map now quotes yesterday's number.
+    fx.fabric.on_restart(1);
 
     // The stale map must be refused and repaired, not wrongly answered.
     EXPECT_TRUE(co_await FabricFixture::open_verify(router, name, wrong));
+    EXPECT_EQ(router.map().shards.size(), 2u);
     stats = router.stats();
   });
   fx.dom.run();
@@ -230,6 +293,49 @@ TEST(ShardFabric, StaleMapIsRefusedThenRepaired) {
   EXPECT_EQ(wrong, 0);
   EXPECT_GE(stats.stale_retries, 1u);
   EXPECT_EQ(stats.map_fetches, 2u);  // warm fetch + repair refetch
+  EXPECT_EQ(stats.failures, 0u);
+}
+
+TEST(ShardFabric, ContentMutationKeepsMapValid) {
+  FabricFixture fx(2, FabricFixture::small_spec());
+  const std::size_t f = fx.file_on(0);
+  ASSERT_LT(f, fx.forest.file_count());
+  const std::string name = fx.forest.name(f);
+  const std::string prefix = fx.forest.prefix(fx.forest.prefix_of(f));
+
+  int wrong = 0;
+  ReplyCode after_delete = ReplyCode::kOk;
+  svc::ShardRouter::Stats stats;
+  ipc::Host& ws = fx.dom.add_host("ws");
+  ws.spawn("client", [&](ipc::Process self) -> sim::Co<void> {
+    svc::Rt rt(self, svc::NameEnv{});
+    svc::ShardRouter router(rt, {.fabric_group = fx.fabric.group()});
+    EXPECT_TRUE(co_await FabricFixture::open_verify(router, name, wrong));
+
+    // Gated edits to shard 0's table move its content generation but not
+    // its ownership, so the cached map stays valid.
+    svc::Rt admin(self, svc::NameEnv{
+        .prefix_server = fx.fabric.pid(0),
+        .current = {fx.fabric.pid(0), naming::kDefaultContext}});
+    EXPECT_EQ(co_await admin.add_prefix(
+                  "aaa-fresh", {fx.fabric.pid(0), naming::kDefaultContext}),
+              ReplyCode::kOk);
+    EXPECT_TRUE(co_await FabricFixture::open_verify(router, name, wrong));
+
+    // The shard answers from its current table: once the prefix is gone,
+    // the same map draws an authoritative kNotFound, not a refusal.
+    EXPECT_EQ(co_await admin.delete_prefix(prefix), ReplyCode::kOk);
+    auto opened = co_await router.open(name, naming::wire::kOpenRead);
+    after_delete = opened.ok() ? ReplyCode::kOk : opened.code();
+    stats = router.stats();
+  });
+  fx.dom.run();
+
+  EXPECT_EQ(fx.dom.process_failures(), 0u) << fx.dom.first_failure();
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(after_delete, ReplyCode::kNotFound);
+  EXPECT_EQ(stats.stale_retries, 0u);
+  EXPECT_EQ(stats.map_fetches, 1u);
   EXPECT_EQ(stats.failures, 0u);
 }
 
@@ -280,9 +386,92 @@ TEST(ShardFabric, CrashHandoffRestartHandbackZeroWrong) {
   EXPECT_EQ(fx.fabric.churn_stats().handoffs, 1u);
   EXPECT_EQ(fx.fabric.churn_stats().handbacks, 1u);
   EXPECT_GE(fx.fabric.map_version(), v0 + 2);  // handoff + restart republish
-  EXPECT_GE(stats.map_fetches, 3u);
+  EXPECT_GE(stats.map_fetches, 2u);
   EXPECT_GT(stats.noreply_retries + stats.stale_retries, 0u);
   EXPECT_EQ(stats.failures, 0u);
+}
+
+TEST(ShardFabric, ChurnStaleRefusalsBoundedByClients) {
+  // The storm bound: only a change of owner stales a map, so one crash /
+  // restart cycle costs each client at most a couple of refusals — not one
+  // per binding the handoff and handback move.  (A map quoting table
+  // generations draws 96 refusals here; ownership generations draw 8.)
+  constexpr std::size_t kClients = 8;
+  wload::ForestSpec spec = FabricFixture::small_spec();
+  spec.prefixes = 64;  // 16 bindings move per handoff and per handback
+  FabricFixture fx(4, spec);
+  fx.dom.loop().schedule_at(400 * kMillisecond, [&fx] {
+    fx.fabric.host(1).crash();
+    fx.fabric.on_crash(1);
+  });
+  fx.dom.loop().schedule_at(900 * kMillisecond,
+                            [&fx] { fx.fabric.on_restart(1); });
+  FabricFixture::Fleet fleet;
+  fx.spawn_fleet(kClients, 1600 * kMillisecond, 2 * kMillisecond, fleet);
+  fx.dom.run();
+
+  EXPECT_EQ(fx.dom.process_failures(), 0u) << fx.dom.first_failure();
+  EXPECT_EQ(fleet.wrong, 0);
+  EXPECT_EQ(fleet.hard_failures, 0);
+  EXPECT_EQ(fx.fabric.churn_stats().handoffs, 1u);
+  EXPECT_EQ(fx.fabric.churn_stats().handbacks, 1u);
+  EXPECT_LE(fleet.stale_retries, kClients * 2);
+}
+
+TEST(ShardFabric, RestartOvertakingHandoffLeavesMapAlone) {
+  // Restart 1 ms after the crash: the handoff agent is still replaying.  It
+  // must abandon its work, not retire the live shard or re-add bindings
+  // behind the handback.
+  FabricFixture fx(4, FabricFixture::small_spec());
+  const std::size_t f = fx.file_on(1);
+  ASSERT_LT(f, fx.forest.file_count());
+  const std::string prefix = fx.forest.prefix(fx.forest.prefix_of(f));
+  fx.dom.loop().schedule_at(400 * kMillisecond, [&fx] {
+    fx.fabric.host(1).crash();
+    fx.fabric.on_crash(1);
+  });
+  fx.dom.loop().schedule_at(401 * kMillisecond,
+                            [&fx] { fx.fabric.on_restart(1); });
+  FabricFixture::Fleet fleet;
+  fx.spawn_fleet(4, 1200 * kMillisecond, 10 * kMillisecond, fleet);
+  fx.dom.run();
+
+  EXPECT_EQ(fx.dom.process_failures(), 0u) << fx.dom.first_failure();
+  EXPECT_EQ(fleet.wrong, 0);
+  EXPECT_EQ(fleet.hard_failures, 0);
+  EXPECT_EQ(fx.fabric.churn_stats().handoffs, 0u);
+  EXPECT_EQ(fx.fabric.churn_stats().handbacks, 1u);
+  // Shard 1 is published and owns its own range again.
+  const ShardMap map = fx.fabric.snapshot();
+  EXPECT_EQ(map.shards.size(), 4u);
+  EXPECT_EQ(map.shards[map.route(prefix)].server_pid, fx.fabric.pid(1).raw);
+}
+
+TEST(ShardFabric, ShedReplayIsRetriedNotLost) {
+  // Two workers and a one-deep queue per shard, hammered by concurrent
+  // clients: the successor sheds handoff adds and handback deletes with
+  // kBusy.  The agents retry them; no binding is lost and no failure counts.
+  FabricFixture fx(4, FabricFixture::small_spec(),
+                   {.workers = 2, .queue_cap = 1});
+  fx.dom.loop().schedule_at(400 * kMillisecond, [&fx] {
+    fx.fabric.host(1).crash();
+    fx.fabric.on_crash(1);
+  });
+  fx.dom.loop().schedule_at(900 * kMillisecond,
+                            [&fx] { fx.fabric.on_restart(1); });
+  FabricFixture::Fleet fleet;
+  fx.spawn_fleet(16, 1600 * kMillisecond, 1 * kMillisecond, fleet);
+  fx.dom.run();
+
+  EXPECT_EQ(fx.dom.process_failures(), 0u) << fx.dom.first_failure();
+  EXPECT_EQ(fleet.wrong, 0);
+  EXPECT_GT(fx.fabric.shed_count(), 0u);
+  const auto& churn = fx.fabric.churn_stats();
+  EXPECT_GT(churn.replay_retries, 0u);
+  EXPECT_EQ(churn.handoffs, 1u);
+  EXPECT_EQ(churn.handbacks, 1u);
+  EXPECT_EQ(churn.handoff_failures, 0u);
+  EXPECT_EQ(churn.handback_failures, 0u);
 }
 
 TEST(ShardFabric, SingleShardDegeneratesToOneTeam) {
