@@ -11,12 +11,21 @@ namespace {
 
 using sim::to_ms;
 
+// A preset and its label. PrintTo prints only the label, so the
+// parameterised test names stay the same from one build to the next.
+struct NamedCalibration {
+  const char* name;
+  CalibrationParams params;
+  friend void PrintTo(const NamedCalibration& c, std::ostream* os) {
+    *os << c.name;
+  }
+};
+
 class CalibrationInvariants
-    : public ::testing::TestWithParam<std::pair<const char*,
-                                                CalibrationParams>> {};
+    : public ::testing::TestWithParam<NamedCalibration> {};
 
 TEST_P(CalibrationInvariants, AllCostsPositive) {
-  const auto& p = GetParam().second;
+  const auto& p = GetParam().params;
   EXPECT_GT(p.local_hop, 0);
   EXPECT_GT(p.remote_hop, 0);
   EXPECT_GT(p.per_byte_remote, 0);
@@ -26,7 +35,7 @@ TEST_P(CalibrationInvariants, AllCostsPositive) {
 }
 
 TEST_P(CalibrationInvariants, RemoteCostsDominateLocal) {
-  const auto& p = GetParam().second;
+  const auto& p = GetParam().params;
   EXPECT_GT(p.remote_hop, p.local_hop);
   for (const std::size_t bytes : {64u, 512u, 4096u, 65536u}) {
     EXPECT_GT(p.move_from_cost(bytes, false), p.move_from_cost(bytes, true))
@@ -37,7 +46,7 @@ TEST_P(CalibrationInvariants, RemoteCostsDominateLocal) {
 }
 
 TEST_P(CalibrationInvariants, BulkCostsStrictlyMonotoneInSize) {
-  const auto& p = GetParam().second;
+  const auto& p = GetParam().params;
   for (const bool local : {true, false}) {
     sim::SimDuration previous = -1;
     for (const std::size_t bytes : {0u, 1u, 100u, 512u, 1024u, 8192u,
@@ -52,7 +61,7 @@ TEST_P(CalibrationInvariants, BulkCostsStrictlyMonotoneInSize) {
 TEST_P(CalibrationInvariants, BulkCostsApproximatelyLinear) {
   // Doubling the payload should at most double-ish the marginal cost:
   // cost(2n) - cost(n) is within 3x of cost(n) - cost(0) for large n.
-  const auto& p = GetParam().second;
+  const auto& p = GetParam().params;
   const auto c0 = p.move_to_cost(0, false);
   const auto c64 = p.move_to_cost(64 * 1024, false);
   const auto c128 = p.move_to_cost(128 * 1024, false);
@@ -64,9 +73,10 @@ TEST_P(CalibrationInvariants, BulkCostsApproximatelyLinear) {
 INSTANTIATE_TEST_SUITE_P(
     Presets, CalibrationInvariants,
     ::testing::Values(
-        std::pair{"sun-3mbit", CalibrationParams::SunWorkstation3Mbit()},
-        std::pair{"slow-net-fast-cpu",
-                  CalibrationParams::SlowNetworkFastCpu()}));
+        NamedCalibration{"sun-3mbit",
+                         CalibrationParams::SunWorkstation3Mbit()},
+        NamedCalibration{"slow-net-fast-cpu",
+                         CalibrationParams::SlowNetworkFastCpu()}));
 
 // --- fit points of the SUN preset (DESIGN.md calibration table) --------------
 

@@ -108,16 +108,25 @@ TEST(OpenTiming, MatrixMatchesPaperOnSunCalibration) {
 }
 
 // Structural claims must hold for ANY calibration.
+// A preset and its label. PrintTo prints only the label, so the
+// parameterised test names stay the same from one build to the next.
+struct NamedCalibration {
+  const char* name;
+  CalibrationParams params;
+  friend void PrintTo(const NamedCalibration& c, std::ostream* os) {
+    *os << c.name;
+  }
+};
+
 class OpenTimingStructure
-    : public ::testing::TestWithParam<std::pair<const char*,
-                                                CalibrationParams>> {};
+    : public ::testing::TestWithParam<NamedCalibration> {};
 
 TEST_P(OpenTimingStructure, PrefixDeltaIndependentOfTargetLocality) {
-  const auto m = measure_open_matrix(GetParam().second);
+  const auto m = measure_open_matrix(GetParam().params);
   // The prefix server is always local, so its cost contribution is the same
   // whether the final server is local or remote.
   EXPECT_NEAR(m.delta_local(), m.delta_remote(), 0.05)
-      << "calibration: " << GetParam().first;
+      << "calibration: " << GetParam().name;
   // Orderings the design implies.
   EXPECT_LT(m.direct_local_ms, m.direct_remote_ms);
   EXPECT_LT(m.direct_local_ms, m.prefix_local_ms);
@@ -127,9 +136,10 @@ TEST_P(OpenTimingStructure, PrefixDeltaIndependentOfTargetLocality) {
 INSTANTIATE_TEST_SUITE_P(
     Calibrations, OpenTimingStructure,
     ::testing::Values(
-        std::pair{"sun-3mbit", CalibrationParams::SunWorkstation3Mbit()},
-        std::pair{"slow-net-fast-cpu",
-                  CalibrationParams::SlowNetworkFastCpu()}));
+        NamedCalibration{"sun-3mbit",
+                         CalibrationParams::SunWorkstation3Mbit()},
+        NamedCalibration{"slow-net-fast-cpu",
+                         CalibrationParams::SlowNetworkFastCpu()}));
 
 TEST(StreamTiming, SequentialPageReadNearSeventeenMs) {
   // E3: with a 15 ms/page disk and one-page read-ahead, the steady-state
