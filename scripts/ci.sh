@@ -4,9 +4,11 @@
 #
 #   scripts/ci.sh          # plain RelWithDebInfo build + ctest
 #   scripts/ci.sh asan     # Debug + -fsanitize=address,undefined + ctest
-#   scripts/ci.sh sanitize # UBSan run of test_engine + test_cached_open,
-#                          # plus a TSan build (build-only: the sim is
-#                          # single-threaded, TSan proves it still links)
+#   scripts/ci.sh sanitize # UBSan run of test_engine, test_cached_open and
+#                          # the flat-table suites (test_file_server,
+#                          # test_chk, test_name_cache), plus a TSan build
+#                          # (build-only: the sim is single-threaded, TSan
+#                          # proves it still links)
 #   scripts/ci.sh lint     # clang-tidy over src/ (skips if not installed;
 #                          # skips unchanged files via a content-hash cache)
 #   scripts/ci.sh slint    # V-lint static analysis (tools/vlint): tree must
@@ -29,6 +31,8 @@
 #                          # validation, dump determinism, <5% recorder
 #                          # overhead on timer-churn, and the V_TRACE=OFF
 #                          # build symbol-free + bit-identical on E1-E6
+#   scripts/ci.sh vbench   # build bench/vbench apart and run its
+#                          # vbench_smoke correctness + determinism gate
 #   scripts/ci.sh all      # everything, in the order above
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,14 +50,17 @@ run_preset() {
 run_sanitize() {
   echo "==> sanitize (UBSan run + TSan build)"
   echo "==> sanitize: ubsan configure/build"
+  # test_file_server, test_chk and test_name_cache cover the flat per-request
+  # tables (dense i-node vector, lint ledger, cache dependent counts).
+  local suites=(
+    test_engine test_cached_open test_file_server test_chk test_name_cache
+  )
   cmake --preset ubsan
-  cmake --build --preset ubsan -j "$(nproc)" --target \
-    test_engine test_cached_open
-  echo "==> sanitize: ubsan run (test_engine, test_cached_open)"
-  UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
-    ./build-ubsan/tests/test_engine
-  UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
-    ./build-ubsan/tests/test_cached_open
+  cmake --build --preset ubsan -j "$(nproc)" --target "${suites[@]}"
+  for t in "${suites[@]}"; do
+    echo "==> sanitize: ubsan run ($t)"
+    UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 "./build-ubsan/tests/$t"
+  done
   echo "==> sanitize: tsan build-only (the sim is single-threaded)"
   cmake --preset tsan
   cmake --build --preset tsan -j "$(nproc)" --target \
@@ -286,6 +293,16 @@ run_fault() {
   echo "fault OK"
 }
 
+run_vbench() {
+  echo "==> vbench (benchmark correctness + determinism smoke)"
+  # bench/vbench is a CMake package of its own, so the tier-1 ctest run
+  # never reaches its gate: build it into its own directory and run it.
+  cmake -S bench/vbench -B build-vbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build build-vbench -j "$(nproc)" --target vbench
+  ctest --test-dir build-vbench -R vbench_smoke --output-on-failure
+  echo "vbench OK"
+}
+
 run_obs() {
   echo "==> obs (V-blackbox: flight recorder + sampling + overhead gates)"
   cmake --preset default
@@ -358,10 +375,11 @@ case "${1:-default}" in
   perf)    run_perf ;;
   fault)   run_fault ;;
   obs)     run_obs ;;
+  vbench)  run_vbench ;;
   all)     run_preset default; run_preset asan; run_sanitize; run_lint
            run_slint; run_fuzz; run_chk_off; run_trace; run_bench_smoke
-           run_scale; run_perf; run_fault; run_obs ;;
-  *) echo "usage: $0 [default|asan|sanitize|lint|slint|fuzz|chk-off|trace|bench-smoke|scale|perf|fault|all|obs]" >&2
+           run_scale; run_perf; run_fault; run_obs; run_vbench ;;
+  *) echo "usage: $0 [default|asan|sanitize|lint|slint|fuzz|chk-off|trace|bench-smoke|scale|perf|fault|obs|vbench|all]" >&2
      exit 2 ;;
 esac
 echo "CI OK"

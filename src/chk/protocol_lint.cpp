@@ -108,14 +108,21 @@ void ProtocolLint::register_worker(std::uint32_t pid, std::string label,
 void ProtocolLint::forget(std::uint32_t pid) {
   servers_.erase(pid);
   workers_.erase(pid);
-  std::erase_if(outstanding_,
-                [pid](const auto& kv) { return kv.first.first == pid; });
+  outstanding_.erase(pid);
+}
+
+std::uint64_t* ProtocolLint::owed(std::uint32_t server_pid,
+                                  std::uint32_t client_pid) {
+  const auto ledger = outstanding_.find(server_pid);
+  if (ledger == outstanding_.end()) return nullptr;
+  const auto it = ledger->second.find(client_pid);
+  return it != ledger->second.end() ? &it->second : nullptr;
 }
 
 void ProtocolLint::settle(std::uint32_t server_pid,
                           std::uint32_t client_pid) {
-  auto it = outstanding_.find({server_pid, client_pid});
-  if (it != outstanding_.end() && it->second > 0) --it->second;
+  std::uint64_t* const count = owed(server_pid, client_pid);
+  if (count != nullptr && *count > 0) --*count;
 }
 
 void ProtocolLint::note_forwarded(std::uint32_t server_pid,
@@ -203,7 +210,7 @@ std::optional<ReplyCode> ProtocolLint::check_request_slow(
   // Duplicate-reply invariant (V-fault): the request is about to be
   // delivered, so the server owes this client exactly one settlement —
   // a reply, a forward, or deliberate probe silence.
-  ++outstanding_[{dest_pid, sender_pid}];
+  ++outstanding_[dest_pid][sender_pid];
   return std::nullopt;
 }
 
@@ -226,8 +233,8 @@ void ProtocolLint::check_reply_slow(const msg::Message& reply,
   // means the server answered the same request twice (or invented one) —
   // under duplicated/reordered requests that is exactly the at-most-once
   // property breaking.
-  auto out_it = outstanding_.find({canonical, to_pid});
-  if (out_it == outstanding_.end() || out_it->second == 0) {
+  std::uint64_t* const count = owed(canonical, to_pid);
+  if (count == nullptr || *count == 0) {
     ++counters_.duplicate_replies;
     std::ostringstream dup;
     dup << "protocol lint: duplicate reply from server process '" << label
@@ -236,7 +243,7 @@ void ProtocolLint::check_reply_slow(const msg::Message& reply,
         << decode_message(reply);
     record_dump(dup.str());
   } else {
-    --out_it->second;
+    --*count;
   }
 
   // Invariant 6 (section 3.2): every reply begins with a standard reply

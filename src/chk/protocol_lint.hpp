@@ -30,6 +30,7 @@
 #include <utility>
 
 #include "common/annotate.hpp"
+#include "common/flat_map.hpp"
 #include "common/reply_codes.hpp"
 #include "msg/message.hpp"
 
@@ -151,14 +152,18 @@ class ProtocolLint {
                         std::uint32_t to_pid, std::uint64_t now);
 
   void record_dump(std::string dump);
+  /// The ledger count for (server, client), or nullptr if never counted.
+  std::uint64_t* owed(std::uint32_t server_pid, std::uint32_t client_pid);
   void settle(std::uint32_t server_pid, std::uint32_t client_pid);
 
-  std::map<std::uint32_t, ServerInfo> servers_;
-  std::map<std::uint32_t, WorkerInfo> workers_;
-  /// (server receptionist pid, client pid) -> requests delivered but not
-  /// yet replied / forwarded / deliberately left unanswered.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t>
-      outstanding_;
+  // Probed on every delivered request and reply, hence flat hash tables
+  // (nothing iterates them, so no container order can leak into a report).
+  FlatMap<std::uint32_t, ServerInfo> servers_;
+  FlatMap<std::uint32_t, WorkerInfo> workers_;
+  /// server receptionist pid -> client pid -> requests delivered but not
+  /// yet replied / forwarded / deliberately left unanswered.  Nested by
+  /// server so forget() drops one server's whole ledger with one erase.
+  FlatMap<std::uint32_t, FlatMap<std::uint32_t, std::uint64_t>> outstanding_;
   /// Highest generation floor registered per server label.
   std::map<std::string, std::uint32_t> incarnation_floor_;
   Counters counters_;

@@ -1,10 +1,11 @@
-// Open-addressing hash map for the kernel's hot tables.
+// Open-addressing hash map for small-integer-keyed tables probed per message.
 //
-// The kernel's per-message lookups (pid -> record, client -> transaction
-// slot, service -> registration) all key on small integers and never erase
-// individual entries — entries accumulate until the table is cleared
-// wholesale (host crash) or outlive the run.  That access pattern makes the
-// general node-based std::map / std::unordered_map a poor fit: every insert
+// Its users key on small integers and probe on every message: the kernel's
+// tables (pid -> record, client -> transaction slot, service ->
+// registration), the protocol lint's server/worker registry and
+// outstanding-request ledger, the client name cache's per-origin tables,
+// and the per-server request-counter handles.  The node-based std::map /
+// std::unordered_map are a poor fit for that access pattern: every insert
 // allocates, every lookup chases a pointer into cold memory.
 //
 // FlatMap stores slots contiguously with linear probing over a power-of-two
@@ -13,9 +14,9 @@
 //   - per-entry erase uses tombstones: probes walk through them, inserts
 //     reuse the first one passed, and any rehash (growth or a same-capacity
 //     compaction once deleted slots crowd the table) purges them all,
-//   - no iteration (nothing in the kernel walks these tables, which is also
-//     what makes the container swap invisible to deterministic runs — there
-//     is no container order to leak into event order),
+//   - no iteration (no user walks these tables, which is also what makes
+//     the container swap invisible to deterministic runs — there is no
+//     container order to leak into event order or a report),
 //   - keys must convert to uint64_t (integers and scoped enums).
 #pragma once
 

@@ -135,18 +135,9 @@ class HopTrace {
 sim::Co<void> CsnhServer::run(ipc::Process self) {
   pid_ = self.pid();
   metrics_scope_ = self.domain().process_name(pid_);
-#if V_TRACE_ENABLED
-  // Metric handles are per-incarnation: the scope name (or the domain the
-  // server object runs in) may differ from the previous run, so every
-  // cached registry pointer is dropped and re-resolved on first use.
-  m_requests_ = nullptr;
-  m_forwarded_ = nullptr;
-  m_sheds_ = nullptr;
-  m_stale_context_ = nullptr;
-  m_queue_depth_ = nullptr;
-  m_hops_ = nullptr;
-  req_counters_.clear();
-#endif
+  // Metric handles are per-incarnation: every cached registry pointer is
+  // dropped and re-resolved on first use.
+  reset_metric_handles();
   // Re-spawn safety (crash + restart reuses the server object): drop any
   // backlog and gate state the previous incarnation left behind — in the
   // race-detector ledger too (the previous incarnation's holders are
@@ -1119,6 +1110,18 @@ obs::Counter& CsnhServer::req_counter(ipc::Process& self,
   return counter;
 }
 #endif
+
+void CsnhServer::reset_metric_handles() {
+#if V_TRACE_ENABLED
+  m_requests_ = nullptr;
+  m_forwarded_ = nullptr;
+  m_sheds_ = nullptr;
+  m_stale_context_ = nullptr;
+  m_queue_depth_ = nullptr;
+  m_hops_ = nullptr;
+  req_counters_.clear();
+#endif
+}
 
 void CsnhServer::metric_inc(ipc::Process& self, std::string_view name,
                             std::uint64_t n) {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -360,6 +361,34 @@ class CsnhServer {
   void metric_gauge(ipc::Process& self, std::string_view name,
                     std::int64_t value);
   void metric_hist(ipc::Process& self, std::string_view name, double value);
+
+  /// Handle slot for a counter a subclass bumps on every request.  The
+  /// first metric_inc through it resolves `name` exactly as the string-keyed
+  /// overload would (same registry entry, same first-use moment); later
+  /// calls are one pointer bump.  Subclasses holding handles override
+  /// reset_metric_handles() to clear them.  Empty with V_TRACE=OFF.
+#if V_TRACE_ENABLED
+  using CounterHandle = obs::Counter*;
+#else
+  using CounterHandle = std::nullptr_t;
+#endif
+  void metric_inc(ipc::Process& self, CounterHandle& handle,
+                  std::string_view name, std::uint64_t n = 1) {
+#if V_TRACE_ENABLED
+    cached_counter(self, handle, name).inc(n);
+#else
+    (void)self;
+    (void)handle;
+    (void)name;
+    (void)n;
+#endif
+  }
+
+  /// Drop every cached metric handle.  run() calls this at each start:
+  /// handles are per-incarnation (the scope name or even the domain may
+  /// differ from the previous run of this server object).  Overrides clear
+  /// their own handles and call the base.
+  virtual void reset_metric_handles();
 
   /// Reply to a CSname request, honouring recovery-probe silence: an error
   /// reply to a request carrying kFlagRecoveryProbe is DROPPED (the probing

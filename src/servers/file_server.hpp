@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,10 +56,6 @@ class FileServer : public naming::CsnhServer {
   [[nodiscard]] naming::ContextId context_of(std::string_view path) const;
   /// Raw content of a file (test inspection).
   [[nodiscard]] Result<std::string> read_file(std::string_view path) const;
-  /// Number of i-nodes in use.
-  [[nodiscard]] std::size_t inode_count() const noexcept {
-    return inodes_.size();
-  }
 
   [[nodiscard]] const std::string& server_name() const noexcept {
     return name_;
@@ -101,6 +98,7 @@ class FileServer : public naming::CsnhServer {
       ipc::Process& self, naming::ContextId ctx) override;
   Result<std::string> context_to_name(naming::ContextId ctx) override;
   Result<std::string> instance_to_name(io::InstanceId instance) override;
+  void reset_metric_handles() override;
 
  private:
   friend class FileInstance;
@@ -137,10 +135,14 @@ class FileServer : public naming::CsnhServer {
   DiskModel disk_;
   bool register_service_;
   ipc::GroupId group_ = 0;
-  std::map<InodeId, Inode> inodes_;
+  /// I-node table indexed by i-number.  I-numbers are handed out
+  /// sequentially from 1 and never reused, so a lookup is one bounds check
+  /// plus an index; slot 0 and the slot of every removed i-node stay null.
+  std::vector<std::unique_ptr<Inode>> inodes_;
   std::map<naming::ContextId, InodeId> well_known_;
-  InodeId next_inode_ = 1;
   InodeId root_ = 0;
+  CounterHandle m_bytes_read_ = nullptr;
+  CounterHandle m_bytes_written_ = nullptr;
 };
 
 }  // namespace v::servers

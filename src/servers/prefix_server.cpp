@@ -61,8 +61,11 @@ sim::Co<naming::CsnhServer::LookupResult> ContextPrefixServer::lookup(
     ipc::Process& self, naming::ContextId /*ctx*/,
     std::string_view component) {
   auto it = table_.find(component);
-  metric_inc(self, it != table_.end() ? "prefix_hits" : "prefix_misses");
-  if (it == table_.end()) co_return LookupResult::missing();
+  if (it == table_.end()) {
+    metric_inc(self, m_prefix_misses_, "prefix_misses");
+    co_return LookupResult::missing();
+  }
+  metric_inc(self, m_prefix_hits_, "prefix_hits");
   const Entry& entry = it->second;
   if (entry.group != 0) {
     // Section 7: the context is implemented by a group of servers.
@@ -191,6 +194,12 @@ Result<std::string> ContextPrefixServer::context_to_name(
     naming::ContextId ctx) {
   if (ctx != naming::kDefaultContext) return ReplyCode::kNoInverse;
   return std::string("[]");  // the (empty) prefix naming this table itself
+}
+
+void ContextPrefixServer::reset_metric_handles() {
+  CsnhServer::reset_metric_handles();
+  m_prefix_hits_ = nullptr;
+  m_prefix_misses_ = nullptr;
 }
 
 }  // namespace v::servers

@@ -95,6 +95,7 @@ class ContextPrefixServer : public naming::CsnhServer {
   sim::Co<Result<std::vector<naming::ObjectDescriptor>>> list_context(
       ipc::Process& self, naming::ContextId ctx) override;
   Result<std::string> context_to_name(naming::ContextId ctx) override;
+  void reset_metric_handles() override;
 
  private:
   naming::ObjectDescriptor describe_entry(const std::string& name,
@@ -104,6 +105,8 @@ class ContextPrefixServer : public naming::CsnhServer {
   bool register_service_;
   std::map<std::string, Entry, std::less<>> table_;
   ipc::GroupId rebind_group_ = 0;
+  CounterHandle m_prefix_hits_ = nullptr;
+  CounterHandle m_prefix_misses_ = nullptr;
 };
 
 }  // namespace v::servers

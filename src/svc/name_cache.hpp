@@ -37,8 +37,8 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <utility>
 
+#include "common/flat_map.hpp"
 #include "ipc/kernel.hpp"
 #include "naming/types.hpp"
 
@@ -72,8 +72,10 @@ class NameCache {
   /// Remember `dir` -> `binding`, evicting the least-recently-used entry
   /// beyond capacity.
   void put(std::string_view dir, const Binding& binding) {
+    add_dependent(binding.origin);
     auto it = entries_.find(dir);
     if (it != entries_.end()) {
+      drop_dependent(it->second.binding.origin);
       it->second.binding = binding;
       lru_.splice(lru_.begin(), lru_, it->second.position);
       return;
@@ -81,7 +83,9 @@ class NameCache {
     lru_.emplace_front(dir);
     entries_.emplace(std::string(dir), Entry{binding, lru_.begin()});
     if (entries_.size() > capacity_) {
-      entries_.erase(lru_.back());
+      auto victim = entries_.find(lru_.back());
+      drop_dependent(victim->second.binding.origin);
+      entries_.erase(victim);
       lru_.pop_back();
     }
   }
@@ -92,6 +96,7 @@ class NameCache {
     auto it = entries_.find(dir);
     if (it == entries_.end()) return;
     ++invalidations_;
+    drop_dependent(it->second.binding.origin);
     lru_.erase(it->second.position);
     entries_.erase(it);
   }
@@ -99,23 +104,33 @@ class NameCache {
   /// Record an observed origin generation (from any hinted reply).  When it
   /// is NEWER than the last one seen for that (server, context) — the
   /// origin's table changed — drop every entry that was resolved through an
-  /// older generation of it.
+  /// older generation of it.  Most newer generations belong to contexts no
+  /// entry was resolved through (every directory a create or remove
+  /// touches), so the walk runs only while the origin has dependents.
   void observe_origin(const ipc::BindingHint& origin) {
     if (!origin.valid()) return;
-    const OriginKey key{origin.server_pid, origin.context_id};
-    auto [it, inserted] = origins_.emplace(key, origin.generation);
-    if (!inserted) {
-      if (origin.generation <= it->second) return;
-      it->second = origin.generation;
+    const std::uint64_t key = origin_key(origin);
+    if (const auto seen = origins_.find(key); seen == origins_.end()) {
+      origins_[key] = origin.generation;
+    } else if (origin.generation <= seen->second) {
+      return;
+    } else {
+      seen->second = origin.generation;
     }
+    const auto deps = dependents_.find(key);
+    if (deps == dependents_.end()) return;
     for (auto entry = entries_.begin(); entry != entries_.end();) {
       const ipc::BindingHint& dep = entry->second.binding.origin;
-      if (dep.valid() && dep.server_pid == origin.server_pid &&
-          dep.context_id == origin.context_id &&
+      if (dep.valid() && origin_key(dep) == key &&
           dep.generation < origin.generation) {
         ++invalidations_;
         lru_.erase(entry->second.position);
         entry = entries_.erase(entry);
+        // Erasing the last dependent drops the count's slot; stop there.
+        if (--deps->second == 0) {
+          dependents_.erase(key);
+          return;
+        }
       } else {
         ++entry;
       }
@@ -126,6 +141,7 @@ class NameCache {
     entries_.clear();
     lru_.clear();
     origins_.clear();
+    dependents_.clear();
   }
 
   /// Counter hooks for the runtime: a kStaleContext refusal, and a
@@ -147,12 +163,28 @@ class NameCache {
     Binding binding;
     std::list<std::string>::iterator position;
   };
-  using OriginKey = std::pair<std::uint32_t, std::uint32_t>;
+  /// (server pid, context id) of an origin, packed for the FlatMap.
+  static std::uint64_t origin_key(const ipc::BindingHint& origin) noexcept {
+    return (std::uint64_t{origin.server_pid} << 32) | origin.context_id;
+  }
+
+  /// Count one more / one fewer entry resolved through `origin`.
+  void add_dependent(const ipc::BindingHint& origin) {
+    if (origin.valid()) ++dependents_[origin_key(origin)];
+  }
+  void drop_dependent(const ipc::BindingHint& origin) {
+    if (!origin.valid()) return;
+    const std::uint64_t key = origin_key(origin);
+    if (--dependents_[key] == 0) dependents_.erase(key);
+  }
 
   std::size_t capacity_;
   std::map<std::string, Entry, std::less<>> entries_;
   std::list<std::string> lru_;
-  std::map<OriginKey, std::uint32_t> origins_;  ///< latest observed gens
+  // Both origin tables are probed on every hinted reply, hence flat.
+  FlatMap<std::uint64_t, std::uint32_t> origins_;  ///< latest observed gens
+  /// Entries per origin key; a key with no dependents has no slot.
+  FlatMap<std::uint64_t, std::uint32_t> dependents_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t invalidations_ = 0;

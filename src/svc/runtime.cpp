@@ -136,7 +136,8 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_resolved(std::string_view name,
     const std::size_t leaf_start = name.size() - split.leaf.size();
     const bool boundary_agrees =
         hint.consumed == leaf_start ||
-        (hint.consumed + 1 == leaf_start && name[hint.consumed] == '/');
+        (std::size_t{hint.consumed} + 1 == leaf_start &&
+         name[hint.consumed] == '/');
     if (hint.valid() && !split.dir.empty() && boundary_agrees) {
       cache_->put(split.dir,
                   NameCache::Binding{

@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "chk/protocol_lint.hpp"
 #include "chk/shared_cell.hpp"
 #include "msg/csname.hpp"
 #include "msg/request_codes.hpp"
@@ -337,6 +338,85 @@ TEST(ChkLint, NonStandardReplyCodeCountedAndStillDelivered) {
   const std::string& dump = dom.lint().first_dump();
   EXPECT_NE(dump.find("non-standard reply code"), std::string::npos) << dump;
   EXPECT_NE(dump.find("bad-server"), std::string::npos) << dump;
+#endif
+}
+
+// --- protocol lint: the outstanding-request ledger -------------------------
+
+#if V_CHECKS_ENABLED
+/// A non-CSname request (no header fields to check): only the ledger acts.
+msg::Message ledger_request() {
+  msg::Message req;
+  req.set_code(0x0350);
+  return req;
+}
+#endif
+
+TEST(ChkLint, DuplicateReplyIsCounted) {
+#if !V_CHECKS_ENABLED
+  GTEST_SKIP() << "built with V_CHECKS=OFF";
+#else
+  chk::ProtocolLint lint;
+  constexpr std::uint32_t kServer = 0x10007;
+  constexpr std::uint32_t kClient = 0x20009;
+  lint.register_server(kServer, "dup-server", nullptr);
+  EXPECT_FALSE(lint.check_request(ledger_request(), kClient, 0, kServer, 1)
+                   .has_value());
+  const msg::Message reply = msg::make_reply(ReplyCode::kOk);
+  lint.check_reply(reply, kServer, kClient, 2);
+  EXPECT_EQ(lint.counters().duplicate_replies, 0u);
+  EXPECT_TRUE(lint.first_dump().empty()) << lint.first_dump();
+  // The second reply to the one request settles nothing.
+  lint.check_reply(reply, kServer, kClient, 3);
+  EXPECT_EQ(lint.counters().replies_checked, 2u);
+  EXPECT_EQ(lint.counters().duplicate_replies, 1u);
+  const std::string& dump = lint.first_dump();
+  EXPECT_NE(dump.find("duplicate reply"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("'dup-server'"), std::string::npos) << dump;
+
+  // A request delivered twice (a duplicated datagram) owes two replies.
+  for (std::uint64_t t = 4; t < 6; ++t) {
+    EXPECT_FALSE(lint.check_request(ledger_request(), kClient, 0, kServer, t)
+                     .has_value());
+  }
+  lint.check_reply(reply, kServer, kClient, 6);
+  lint.check_reply(reply, kServer, kClient, 7);
+  EXPECT_EQ(lint.counters().duplicate_replies, 1u);
+  lint.check_reply(reply, kServer, kClient, 8);
+  EXPECT_EQ(lint.counters().duplicate_replies, 2u);
+#endif
+}
+
+TEST(ChkLint, ForgetDropsOnlyThatServersLedger) {
+#if !V_CHECKS_ENABLED
+  GTEST_SKIP() << "built with V_CHECKS=OFF";
+#else
+  chk::ProtocolLint lint;
+  constexpr std::uint32_t kServerA = 0x10007;
+  constexpr std::uint32_t kServerB = 0x10008;
+  constexpr std::uint32_t kClient = 0x20009;
+  lint.register_server(kServerA, "server-a", nullptr);
+  lint.register_server(kServerB, "server-b", nullptr);
+  // One client with a request pending at each server.
+  EXPECT_FALSE(lint.check_request(ledger_request(), kClient, 0, kServerA, 1)
+                   .has_value());
+  EXPECT_FALSE(lint.check_request(ledger_request(), kClient, 0, kServerB, 2)
+                   .has_value());
+  lint.forget(kServerA);
+  // b still owes its reply, and only one.
+  const msg::Message reply = msg::make_reply(ReplyCode::kOk);
+  lint.check_reply(reply, kServerB, kClient, 3);
+  EXPECT_EQ(lint.counters().duplicate_replies, 0u);
+  EXPECT_TRUE(lint.first_dump().empty()) << lint.first_dump();
+  lint.check_reply(reply, kServerB, kClient, 4);
+  EXPECT_EQ(lint.counters().duplicate_replies, 1u);
+  // a is no longer registered: its replies are not checked at all.
+  lint.check_reply(reply, kServerA, kClient, 5);
+  EXPECT_EQ(lint.counters().replies_checked, 2u);
+  // A later incarnation on a's pid starts with an empty ledger.
+  lint.register_server(kServerA, "server-a", nullptr);
+  lint.check_reply(reply, kServerA, kClient, 6);
+  EXPECT_EQ(lint.counters().duplicate_replies, 2u);
 #endif
 }
 

@@ -3,6 +3,7 @@
 // directories, cross-server forwarding, and well-known contexts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 
 #include "naming/protocol.hpp"
@@ -437,6 +438,91 @@ TEST(FileServer, InvalidContextIdRejected) {
     rt.set_current({fx.alpha_pid, 123456});
     auto opened = co_await rt.open("anything", kOpenRead);
     EXPECT_EQ(opened.code(), ReplyCode::kInvalidContext);
+  });
+}
+
+// --- the i-node table: ids are indexes, removed ids stay dead -------------
+
+TEST(FileServer, ContextIdPastInodeTableIsInvalidContext) {
+  VFixture fx;
+  fx.run_client([&fx](ipc::Process, svc::Rt rt) -> Co<void> {
+    // Far past every i-number ever handed out: a miss, never an
+    // out-of-range access.  0xFFFFFFF0 also sits in the well-known range
+    // with nothing mapped there; 0x80000000 reaches the table untranslated.
+    for (const naming::ContextId ctx : {0xFFFFFFF0u, 0x80000000u}) {
+      rt.set_current({fx.alpha_pid, ctx});
+      auto opened = co_await rt.open("anything", kOpenRead);
+      EXPECT_EQ(opened.code(), ReplyCode::kInvalidContext) << ctx;
+      auto desc = co_await rt.query("anything");
+      EXPECT_EQ(desc.code(), ReplyCode::kInvalidContext) << ctx;
+      auto name = co_await rt.context_name({fx.alpha_pid, ctx});
+      EXPECT_EQ(name.code(), ReplyCode::kNoInverse) << ctx;
+    }
+  });
+}
+
+TEST(FileServer, RemovedDirectoryIdIsInvalidContext) {
+  VFixture fx;
+  naming::ContextId gone = 0;
+  fx.run_client([&fx, &gone](ipc::Process, svc::Rt rt) -> Co<void> {
+    EXPECT_EQ(co_await rt.make_context("tmp/gone"), ReplyCode::kOk);
+    gone = fx.alpha.context_of("tmp/gone");
+    EXPECT_EQ(co_await rt.remove("tmp/gone"), ReplyCode::kOk);
+    rt.set_current({fx.alpha_pid, gone});
+    auto opened = co_await rt.open("x", kOpenRead | kOpenWrite | kOpenCreate);
+    EXPECT_EQ(opened.code(), ReplyCode::kInvalidContext);
+    EXPECT_EQ(co_await rt.create("x", 0), ReplyCode::kInvalidContext);
+    auto name = co_await rt.context_name({fx.alpha_pid, gone});
+    EXPECT_EQ(name.code(), ReplyCode::kNoInverse);
+  });
+  EXPECT_NE(gone, 0u);
+}
+
+TEST(FileServer, ReadOnInstanceOfRemovedFileIsBadState) {
+  VFixture fx;
+  fx.run_client([](ipc::Process, svc::Rt rt) -> Co<void> {
+    auto opened = co_await rt.open("usr/mann/paper.mss", kOpenRead);
+    EXPECT_TRUE(opened.ok());
+    if (!opened.ok()) co_return;
+    svc::File f = opened.take();
+    std::array<std::byte, 512> block{};
+    auto before = co_await f.read_block(0, block);
+    EXPECT_TRUE(before.ok());
+    // The name and the object die together; the open instance outlives
+    // both but can no longer reach the data.
+    EXPECT_EQ(co_await rt.remove("usr/mann/paper.mss"), ReplyCode::kOk);
+    auto after = co_await f.read_block(0, block);
+    EXPECT_EQ(after.code(), ReplyCode::kBadState);
+    auto name = co_await rt.file_name(f.server(), f.instance());
+    EXPECT_EQ(name.code(), ReplyCode::kNoInverse);
+    EXPECT_EQ(co_await f.close(), ReplyCode::kOk);
+  });
+}
+
+TEST(FileServer, RecreatedNameGetsFreshInodeNumber) {
+  VFixture fx;
+  fx.run_client([&fx](ipc::Process, svc::Rt rt) -> Co<void> {
+    // A file: the descriptor's object id is its i-number.
+    EXPECT_EQ(co_await rt.create("tmp/again", 0), ReplyCode::kOk);
+    auto first = co_await rt.query("tmp/again");
+    EXPECT_EQ(co_await rt.remove("tmp/again"), ReplyCode::kOk);
+    EXPECT_EQ(co_await rt.create("tmp/again", 0), ReplyCode::kOk);
+    auto second = co_await rt.query("tmp/again");
+    EXPECT_TRUE(first.ok() && second.ok());
+    if (!first.ok() || !second.ok()) co_return;
+    EXPECT_GT(second.value().object_id, first.value().object_id);
+
+    // A directory: a binding cached against the old context id must not
+    // reach the new directory of the same name.
+    EXPECT_EQ(co_await rt.make_context("tmp/dir"), ReplyCode::kOk);
+    const naming::ContextId old_dir = fx.alpha.context_of("tmp/dir");
+    EXPECT_EQ(co_await rt.remove("tmp/dir"), ReplyCode::kOk);
+    EXPECT_EQ(co_await rt.make_context("tmp/dir"), ReplyCode::kOk);
+    EXPECT_EQ(co_await rt.create("tmp/dir/leaf", 0), ReplyCode::kOk);
+    EXPECT_NE(fx.alpha.context_of("tmp/dir"), old_dir);
+    rt.set_current({fx.alpha_pid, old_dir});
+    auto stale = co_await rt.query("leaf");
+    EXPECT_EQ(stale.code(), ReplyCode::kInvalidContext);
   });
 }
 

@@ -85,6 +85,81 @@ TEST(NameCacheUnit, NewerOriginGenerationSweepsDependents) {
   EXPECT_EQ(cache.invalidations(), 1u);
 }
 
+NameCache::Binding via(const ipc::BindingHint& origin,
+                       std::uint32_t context = 3) {
+  auto b = binding({ipc::ProcessId::make(1, 2), context}, 10, 7);
+  b.origin = origin;
+  return b;
+}
+
+TEST(NameCacheUnit, OriginWithoutDependentsDropsNothing) {
+  const ipc::BindingHint prefix{77, 0, 5, 0};
+  const ipc::BindingHint other{88, 0, 5, 0};
+
+  // The only dependent was evicted.
+  NameCache evicted(1);
+  evicted.put("a", via(prefix));
+  evicted.put("b", binding({ipc::ProcessId::make(1, 2), 4}));
+  evicted.observe_origin(ipc::BindingHint{77, 0, 6, 0});
+  EXPECT_TRUE(evicted.find("b").has_value());
+  EXPECT_EQ(evicted.invalidations(), 0u);
+
+  // The only dependent was erased.
+  NameCache erased(4);
+  erased.put("a", via(prefix));
+  erased.erase("a");
+  erased.put("b", binding({ipc::ProcessId::make(1, 2), 4}));
+  erased.observe_origin(ipc::BindingHint{77, 0, 6, 0});
+  EXPECT_EQ(erased.size(), 1u);
+  EXPECT_EQ(erased.invalidations(), 1u);  // the erase, nothing more
+
+  // The only dependent was overwritten with a different origin: the old
+  // origin drops nothing, the new one still sweeps it.
+  NameCache rebound(4);
+  rebound.put("a", via(prefix));
+  rebound.put("a", via(other));
+  rebound.observe_origin(ipc::BindingHint{77, 0, 6, 0});
+  EXPECT_TRUE(rebound.find("a").has_value());
+  EXPECT_EQ(rebound.invalidations(), 0u);
+  rebound.observe_origin(ipc::BindingHint{88, 0, 6, 0});
+  EXPECT_FALSE(rebound.find("a").has_value());
+  EXPECT_EQ(rebound.invalidations(), 1u);
+}
+
+TEST(NameCacheUnit, SweepDropsExactlyTheOlderDependents) {
+  NameCache cache(4);
+  const ipc::BindingHint gen8{77, 0, 8, 0};
+  const ipc::BindingHint gen9{77, 0, 9, 0};
+  cache.put("evicted", via(gen8, 1));
+  cache.put("plain", binding({ipc::ProcessId::make(1, 2), 4}));
+  cache.put("other", via(ipc::BindingHint{88, 0, 1, 0}, 5));
+  cache.put("old", via(gen8, 2));
+  cache.put("new", via(gen9, 3));  // evicts "evicted"
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.invalidations(), 0u);  // eviction is not invalidation
+
+  // Generation 9 drops the generation-8 dependent only.
+  cache.observe_origin(gen9);
+  EXPECT_FALSE(cache.find("old").has_value());
+  EXPECT_FALSE(cache.find("evicted").has_value());
+  EXPECT_TRUE(cache.find("new").has_value());
+  EXPECT_EQ(cache.invalidations(), 1u);
+
+  // The remaining dependent is still counted: generation 10 drops it.
+  cache.observe_origin(ipc::BindingHint{77, 0, 10, 0});
+  EXPECT_FALSE(cache.find("new").has_value());
+  EXPECT_TRUE(cache.find("plain").has_value());
+  EXPECT_TRUE(cache.find("other").has_value());
+  EXPECT_EQ(cache.invalidations(), 2u);
+
+  // After clear() the counts start over with the entries.
+  cache.clear();
+  cache.put("again", via(gen8));
+  cache.observe_origin(gen9);
+  EXPECT_FALSE(cache.find("again").has_value());
+  EXPECT_EQ(cache.invalidations(), 3u);
+}
+
 // --- behaviour through the protocol ---------------------------------------------
 
 TEST(NameCacheRt, ReusedDirectoryHitsSkipInterpretation) {
