@@ -91,7 +91,6 @@ WorkloadResult run_timer_churn() {
 /// always-on claim, measured where it hurts most: a workload that is
 /// nothing but dispatches).
 WorkloadResult run_timer_churn_flight() {
-#if V_TRACE_ENABLED
   constexpr std::uint64_t kTimers = 1 << 14;
   constexpr std::uint64_t kEvents = 2'000'000;
   sim::EventLoop loop;
@@ -107,9 +106,6 @@ WorkloadResult run_timer_churn_flight() {
   for (std::uint64_t i = 0; i < kTimers; ++i) arm_timer(loop, budget, rng);
   loop.run_until_idle();
   return {loop.events_executed(), 0, loop.now()};
-#else
-  return run_timer_churn();  // no recorder in this preset: plain churn
-#endif
 }
 
 WorkloadResult run_ping_pong() {

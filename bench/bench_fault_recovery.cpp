@@ -10,9 +10,6 @@
 // rebinding (direct names and prefix-routed names), swept over 16 fault
 // seeds.  The oracle is the chaos matrix's: a recovering open may cost
 // retries, but it must never return wrong bytes.
-//
-// With V_FAULT=OFF only the clean-network baseline row is produced (the
-// fault rows need the subsystem the build compiled out).
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -175,8 +172,6 @@ LossCell measure_under_loss(double loss, std::uint64_t seed) {
   return cell;
 }
 
-#if V_FAULT_ENABLED
-
 /// Worst-case detection latency: the client->server link drops everything,
 /// so one send burns the whole retry budget before kNoReply surfaces.
 double measure_noreply(std::uint64_t seed, fault::FaultStats* out) {
@@ -270,8 +265,6 @@ double median(std::vector<double> v) {
   return v.empty() ? -1 : v[v.size() / 2];
 }
 
-#endif  // V_FAULT_ENABLED
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -294,7 +287,6 @@ int main(int argc, char** argv) {
   wrong += clean.wrong;
   gave_up += clean.gave_up;
   bench::row("direct remote open, clean network", clean.mean_open_ms, 3.70);
-#if V_FAULT_ENABLED
   for (const double loss : {0.05, 0.20}) {
     const LossCell cell = measure_under_loss(loss, kSeed);
     wrong += cell.wrong;
@@ -314,10 +306,6 @@ int main(int argc, char** argv) {
   bench::note("budget 6 (one cycle = 390 ms); the Rt's default recovery");
   bench::note("policy retries the open once, so a dead link surfaces after");
   bench::note("two full cycles.");
-#else
-  bench::note("V_FAULT=OFF build: fault-injection rows skipped (the");
-  bench::note("subsystem is compiled out; only the baseline is priced).");
-#endif
   if (wrong != 0 || gave_up != 0) {
     bench::note("FAILURE: " + std::to_string(wrong) + " wrong reply(ies), " +
                 std::to_string(gave_up) + " open(s) never served");
@@ -326,7 +314,6 @@ int main(int argc, char** argv) {
     bench::note("every open eventually returned correct bytes.");
   }
 
-#if V_FAULT_ENABLED
   bench::headline("E11-fault-recovery",
                   "crash -> restart -> rebind latency (16 fault seeds)");
   constexpr int kSeeds = 16;
@@ -376,7 +363,6 @@ int main(int argc, char** argv) {
   }
   std::printf("  host wall-clock per sweep: %.1f ms (median of %d)\n",
               host_ms, repeats);
-#endif  // V_FAULT_ENABLED
 
   return bench::finish(json_path, rc);
 }

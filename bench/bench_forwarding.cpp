@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   constexpr int kMaxHops = 6;
   ipc::Domain dom;
   // V-trace: spans carry simulated time only, so tracing the run cannot
-  // change any measured number.  (No-op shell with V_TRACE=OFF.)
+  // change any measured number (`ci.sh obs` diffs the two reports).
   if (!trace_path.empty()) dom.tracer().enable();
   auto& ws = dom.add_host("ws1");
   // A chain of file servers, each holding a link to the next.
@@ -105,7 +105,6 @@ int main(int argc, char** argv) {
   bench::note("re-sends the remaining name each time, so the gap widens");
   bench::note("with chain length — the protocol's forwarding rule is the");
   bench::note("right default (paper section 5.4).");
-#if V_TRACE_ENABLED
   if (!trace_path.empty()) {
     if (!dom.tracer().write_chrome_json(trace_path)) {
       std::fprintf(stderr, "BENCH FAILURE: cannot write %s\n",
@@ -117,7 +116,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(dom.tracer().trace_count()),
                 dom.tracer().spans().size());
   }
-#endif
   if (!bench::write_metrics(dom, metrics_path)) return 1;
   return bench::finish(json_path);
 }

@@ -66,8 +66,6 @@ class JsonReport {
   }
   /// Record the observability configuration the run used: the V-trace
   /// head-sampling keep rate and the flight recorder's per-ring capacity.
-  /// Both come from shells with identical defaults when V_TRACE=OFF, so a
-  /// report carries them in every preset without breaking byte-diffs.
   void set_obs_info(double sample_rate, std::uint64_t flight_capacity) {
     obs_sample_rate_ = sample_rate;
     obs_flight_capacity_ = flight_capacity;
@@ -332,8 +330,7 @@ inline std::string flag_value(int argc, char** argv, std::string_view flag) {
 /// Write the domain's metrics-registry snapshot (same numbers a `[metrics]`
 /// Read serves) to `path`; "" skips.  Kept separate from `--json` so the
 /// checked-in bench reports stay byte-identical whether or not a metrics
-/// dump was requested.  With V_TRACE=OFF the registry shell serialises as
-/// "{}".  Returns false on I/O failure.
+/// dump was requested.  Returns false on I/O failure.
 inline bool write_metrics(const ipc::Domain& dom, const std::string& path) {
   if (path.empty()) return true;
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -421,9 +418,7 @@ inline void run_info(std::uint64_t seed, const std::string& calibration) {
 }
 
 /// Print and record the observability configuration (V-trace head-sampling
-/// keep rate + flight-recorder ring capacity).  The V_TRACE=OFF shells
-/// answer the same defaults (rate 1.0, capacity kDefaultFlightCapacity),
-/// so checked-in reports stay byte-identical across build presets.
+/// keep rate + flight-recorder ring capacity).
 inline void obs_info(const ipc::Domain& dom) {
   const double rate = dom.tracer().sampler().rate();
   const auto cap = static_cast<std::uint64_t>(dom.flight().capacity());

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "flight.json";
 
   ipc::Domain dom;
-  dom.flight().set_dump_path(out_path);  // no-op shell with -DV_TRACE=OFF
+  dom.flight().set_dump_path(out_path);
 
   auto& ws1 = dom.add_host("ws1");
   auto& fs1 = dom.add_host("fs1");
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   quick.max_timeout = 16 * sim::kMillisecond;
   quick.budget = 3;
   plan.set_retry(quick);
-  dom.install_faults(plan);  // no-op with -DV_FAULT=OFF: the open succeeds
+  dom.install_faults(plan);
 
   bool gave_up = false;
   ws1.spawn("client", [&, server](ipc::Process self) -> sim::Co<void> {
@@ -61,11 +61,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-#if V_TRACE_ENABLED
   if (!gave_up) {
-    std::printf("(faults compiled out: no defeat, so no automatic dump; "
-                "writing one by hand)\n");
-    dom.flight().trigger(obs::kDumpOnDemand, dom.now());
+    std::fprintf(stderr, "FAILED: the dead wire did not defeat the send\n");
+    return 1;
   }
   std::printf(
       "flight recorder: %llu records across %zu rings, %llu trigger(s)\n",
@@ -74,10 +72,5 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(dom.flight().triggers()));
   std::printf("post-mortem dump written to %s — load it in Perfetto\n",
               out_path.c_str());
-#else
-  (void)gave_up;
-  std::printf("(built with -DV_TRACE=OFF: recorder compiled out; %s not "
-              "written)\n", out_path.c_str());
-#endif
   return 0;
 }

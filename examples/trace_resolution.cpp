@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "trace.json";
 
   ipc::Domain dom;
-  dom.tracer().enable();  // no-op shell when built with -DV_TRACE=OFF
+  dom.tracer().enable();
 
   auto& ws = dom.add_host("ws-cheriton");
 
@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-#if V_TRACE_ENABLED
   // Render the richest trace (the multi-hop open) as an indented tree.
   std::map<std::uint64_t, int> spans_per_trace;
   for (const auto& span : dom.tracer().spans()) {
@@ -146,10 +145,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(f.dispatches),
                 static_cast<double>(f.wall_ns) / 1e6);
   }
-#else
-  std::printf("\n(built with -DV_TRACE=OFF: no trace or metrics recorded; "
-              "%s not written)\n", out_path.c_str());
-#endif
   std::printf("\ntrace_resolution completed in %.2f simulated ms\n",
               sim::to_ms(dom.now()));
   return 0;

@@ -16,21 +16,19 @@
 #   scripts/ci.sh fuzz     # 16-seed deterministic schedule-fuzz sweep
 #   scripts/ci.sh chk-off  # V_CHECKS=OFF: tests pass, chk symbols absent,
 #                          # bench numbers bit-identical to the baseline
-#   scripts/ci.sh trace    # V-trace: run the trace example, validate the
-#                          # Chrome JSON, then prove the V_TRACE=OFF build
-#                          # has no obs symbols and identical bench numbers
+#   scripts/ci.sh trace    # V-trace: run the trace example and validate
+#                          # its Chrome JSON
 #   scripts/ci.sh bench-smoke  # run every bench with --json and validate
 #                          # each report against the JsonReport schema
 #   scripts/ci.sh perf     # engine-throughput gate: bench_engine --json,
 #                          # fail on >25% events/wall-sec regression vs
 #                          # the checked-in BENCH_engine.json
-#   scripts/ci.sh fault    # V-fault: 16-seed chaos matrix, recovery bench,
-#                          # then prove the V_FAULT=OFF build has no fault
-#                          # symbols and identical E1-E6 bench numbers
+#   scripts/ci.sh fault    # V-fault: 16-seed chaos matrix, recovery bench
+#                          # report identical to BENCH_fault_recovery.json
 #   scripts/ci.sh obs      # V-blackbox: flight-dump example + Perfetto JSON
 #                          # validation, dump determinism, <5% recorder
-#                          # overhead on timer-churn, and the V_TRACE=OFF
-#                          # build symbol-free + bit-identical on E1-E6
+#                          # overhead on timer-churn, and a traced run of
+#                          # bench_forwarding bit-identical to an untraced one
 #   scripts/ci.sh vbench   # build bench/vbench apart and run its
 #                          # vbench_smoke correctness + determinism gate
 #   scripts/ci.sh all      # everything, in the order above
@@ -89,8 +87,8 @@ run_lint() {
   while IFS= read -r -d '' f; do
     # Dep scan mirrors the default preset's flags; if it fails the list
     # degrades to just the TU, which only over-lints, never under-lints.
-    h=$( { g++ -std=c++20 -Isrc -DV_CHECKS_ENABLED=1 -DV_FAULT_ENABLED=1 \
-               -DV_TRACE_ENABLED=1 -MM -MT dep "$f" 2>/dev/null || true
+    h=$( { g++ -std=c++20 -Isrc -DV_CHECKS_ENABLED=1 -MM -MT dep "$f" \
+               2>/dev/null || true
            echo "$f"; } |
          sed 's/^dep://' | tr -d '\\' | tr ' ' '\n' | sed '/^$/d' |
          sort -u | xargs -r sha256sum | sha256sum | cut -d' ' -f1)
@@ -154,23 +152,6 @@ run_trace() {
   cmake --build --preset default -j "$(nproc)" --target trace_resolution
   ./build/examples/trace_resolution /tmp/trace_ci.json
   python3 scripts/check_trace_json.py /tmp/trace_ci.json
-
-  echo "==> trace-off (V_TRACE=OFF build)"
-  run_preset trace-off
-  echo "==> trace-off symbol check"
-  # Compiled out means OUT: no v::obs:: symbol may survive in a linked
-  # binary (same zero-cost-when-disabled bar V-check set).
-  if nm -C build-trace-off/tests/test_integration | grep -q 'v::obs::'; then
-    echo "FAIL: v::obs:: symbols present in V_TRACE=OFF binary" >&2
-    nm -C build-trace-off/tests/test_integration | grep 'v::obs::' | head >&2
-    exit 1
-  fi
-  echo "==> trace-off bench regression check"
-  # Tracing and metrics never consume simulated time, so compiling them
-  # out must not change a single measured number.
-  ./build-trace-off/bench/bench_server_team --json /tmp/bench_trace_off.json \
-    >/dev/null
-  diff BENCH_server_team.json /tmp/bench_trace_off.json
   echo "trace OK"
 }
 
@@ -258,38 +239,6 @@ run_fault() {
   strip_host_timing BENCH_fault_recovery.json >/tmp/fault_ref.json
   strip_host_timing /tmp/bench_fault.json >/tmp/fault_new.json
   diff /tmp/fault_ref.json /tmp/fault_new.json
-
-  echo "==> fault-off (V_FAULT=OFF build)"
-  run_preset fault-off
-  echo "==> fault-off symbol check"
-  # Zero-cost-when-disabled means compiled OUT, not stubbed: no v::fault::
-  # symbol may survive in a linked test binary.
-  if nm -C build-fault-off/tests/test_integration | grep -q 'v::fault::'; then
-    echo "FAIL: v::fault:: symbols present in V_FAULT=OFF binary" >&2
-    nm -C build-fault-off/tests/test_integration | grep 'v::fault::' | head >&2
-    exit 1
-  fi
-  echo "==> fault-off bench regression check"
-  # Reliability must be free when unused: with no FaultPlan installed, the
-  # fault-aware kernel must produce the exact same numbers as a build that
-  # never heard of faults, for every headline experiment.
-  local benches=(
-    bench_ipc_transaction bench_bulk_transfer bench_stream_read
-    bench_open_matrix bench_prefix_server bench_forwarding
-    bench_cached_open
-  )
-  for b in "${benches[@]}"; do
-    cmake --build --preset default -j "$(nproc)" --target "$b"
-    "./build/bench/$b" --json "/tmp/fault_on_$b.json" >/dev/null
-    "./build-fault-off/bench/$b" --json "/tmp/fault_off_$b.json" >/dev/null
-    strip_host_timing "/tmp/fault_on_$b.json" >"/tmp/fault_on_$b.stripped"
-    strip_host_timing "/tmp/fault_off_$b.json" >"/tmp/fault_off_$b.stripped"
-    diff "/tmp/fault_on_$b.stripped" "/tmp/fault_off_$b.stripped"
-  done
-  # The recovery bench still runs (baseline row only) without the subsystem.
-  ./build-fault-off/bench/bench_fault_recovery \
-    --json /tmp/bench_fault_off.json >/dev/null
-  python3 scripts/check_bench_json.py /tmp/bench_fault_off.json
   echo "fault OK"
 }
 
@@ -307,7 +256,7 @@ run_obs() {
   echo "==> obs (V-blackbox: flight recorder + sampling + overhead gates)"
   cmake --preset default
   cmake --build --preset default -j "$(nproc)" --target \
-    flight_dump bench_engine test_obs test_fault_matrix
+    flight_dump bench_engine bench_forwarding test_obs test_fault_matrix
 
   echo "==> obs: automatic dump on retry exhaustion, Perfetto-loadable"
   ./build/examples/flight_dump /tmp/flight_ci.json
@@ -331,33 +280,15 @@ run_obs() {
   python3 scripts/check_bench_json.py --max-regression 0.05 \
     --overhead timer-churn:timer-churn-flight /tmp/bench_engine_flight.json
 
-  echo "==> obs: trace-off build (recorder compiled out)"
-  cmake --preset trace-off
-  cmake --build --preset trace-off -j "$(nproc)" --target test_integration
-  echo "==> obs: trace-off symbol check"
-  # The flight recorder and sampler live in v::obs:: and must vanish with
-  # the rest of it: compiled out means OUT.
-  if nm -C build-trace-off/tests/test_integration | grep -q 'v::obs::'; then
-    echo "FAIL: v::obs:: symbols present in V_TRACE=OFF binary" >&2
-    nm -C build-trace-off/tests/test_integration | grep 'v::obs::' | head >&2
-    exit 1
-  fi
-  echo "==> obs: trace-off byte-identity on the headline experiments"
-  # Recording costs host time only, never simulated time: every E1-E6
-  # measured number must be bit-identical with the recorder compiled out.
-  local benches=(
-    bench_ipc_transaction bench_bulk_transfer bench_stream_read
-    bench_open_matrix bench_prefix_server bench_forwarding
-  )
-  for b in "${benches[@]}"; do
-    cmake --build --preset default -j "$(nproc)" --target "$b"
-    cmake --build --preset trace-off -j "$(nproc)" --target "$b"
-    "./build/bench/$b" --json "/tmp/obs_on_$b.json" >/dev/null
-    "./build-trace-off/bench/$b" --json "/tmp/obs_off_$b.json" >/dev/null
-    strip_host_timing "/tmp/obs_on_$b.json" >"/tmp/obs_on_$b.stripped"
-    strip_host_timing "/tmp/obs_off_$b.json" >"/tmp/obs_off_$b.stripped"
-    diff "/tmp/obs_on_$b.stripped" "/tmp/obs_off_$b.stripped"
-  done
+  echo "==> obs: tracing leaves simulated results unchanged"
+  # Recording costs host time only, never simulated time: a fully traced
+  # forwarding run must report the same numbers as an untraced one.
+  ./build/bench/bench_forwarding --json /tmp/obs_untraced.json >/dev/null
+  ./build/bench/bench_forwarding --json /tmp/obs_traced.json \
+    --trace /tmp/obs_forwarding_trace.json >/dev/null
+  strip_host_timing /tmp/obs_untraced.json >/tmp/obs_untraced.stripped
+  strip_host_timing /tmp/obs_traced.json >/tmp/obs_traced.stripped
+  diff /tmp/obs_untraced.stripped /tmp/obs_traced.stripped
   echo "obs OK"
 }
 

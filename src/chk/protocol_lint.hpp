@@ -112,6 +112,7 @@ class ProtocolLint {
       std::size_t read_segment_bytes, std::uint32_t dest_pid,
       std::uint64_t now) {
     if (servers_.empty()) return std::nullopt;
+    // vlint: allow(hot-path-alloc): only once lint servers register; allocates on a new ledger pair or a violation dump
     return check_request_slow(request, sender_pid, read_segment_bytes,
                               dest_pid, now);
   }
@@ -124,6 +125,7 @@ class ProtocolLint {
   V_HOT_PATH void check_reply(const msg::Message& reply, std::uint32_t from_pid,
                               std::uint32_t to_pid, std::uint64_t now) {
     if (servers_.empty() && workers_.empty()) return;
+    // vlint: allow(hot-path-alloc): only once lint servers register; allocates on the violation path only
     check_reply_slow(reply, from_pid, to_pid, now);
   }
 

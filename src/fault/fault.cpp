@@ -1,7 +1,5 @@
 #include "fault/fault.hpp"
 
-#if V_FAULT_ENABLED
-
 namespace v::fault {
 
 FaultPlan::FaultPlan(std::uint64_t seed) : rng_(seed) {}
@@ -77,5 +75,3 @@ PacketDecision FaultPlan::on_packet(std::uint16_t from, std::uint16_t to) {
 }
 
 }  // namespace v::fault
-
-#endif  // V_FAULT_ENABLED

@@ -15,9 +15,8 @@
 // per-seed random stream keeps its shape across different loss rates (runs
 // differing only in probabilities stay comparable event-for-event).
 //
-// Zero-cost when disabled: with V_FAULT=OFF every member is an inline no-op,
-// no v::fault:: symbol survives linking, and the kernel's warm path is
-// byte-for-byte identical to a build that never heard of faults.
+// A Domain with no plan installed never consults one: its warm path pays
+// one null-pointer test per remote packet.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +27,6 @@
 
 #include "sim/random.hpp"
 #include "sim/time.hpp"
-
-#ifndef V_FAULT_ENABLED
-#define V_FAULT_ENABLED 1
-#endif
 
 namespace v::fault {
 
@@ -98,8 +93,6 @@ struct FaultStats {
   std::uint64_t stale_replies_dropped = 0;   ///< reply to a superseded txn
 };
 
-#if V_FAULT_ENABLED
-
 /// A scripted adversary for one Domain run.  Construct, configure links /
 /// events / retry policy, then hand to Domain::install_faults.  The plan
 /// must outlive the domain's run.
@@ -150,47 +143,5 @@ class FaultPlan {
   std::vector<HostEvent> events_;
   FaultStats stats_;
 };
-
-#else  // !V_FAULT_ENABLED
-
-/// Inert shell: constructing and configuring a plan is legal but does
-/// nothing, and the kernel never consults it (Domain::install_faults is a
-/// no-op with V_FAULT=OFF).
-class FaultPlan {
- public:
-  explicit FaultPlan(std::uint64_t = 0) noexcept {}
-
-  void set_default_link(const LinkFaults&) noexcept {}
-  void set_link(std::uint16_t, std::uint16_t, const LinkFaults&) noexcept {}
-  void set_retry(const RetryPolicy&) noexcept {}
-  [[nodiscard]] const RetryPolicy& retry() const noexcept { return retry_; }
-
-  template <typename... Args>
-  void crash_at(Args&&...) noexcept {}
-  template <typename... Args>
-  void restart_at(Args&&...) noexcept {}
-  template <typename... Args>
-  void pause_at(Args&&...) noexcept {}
-  template <typename... Args>
-  void resume_at(Args&&...) noexcept {}
-  [[nodiscard]] const std::vector<HostEvent>& events() const noexcept {
-    return events_;
-  }
-
-  [[nodiscard]] PacketDecision on_packet(std::uint16_t,
-                                         std::uint16_t) noexcept {
-    return {};
-  }
-
-  [[nodiscard]] FaultStats& stats() noexcept { return stats_; }
-  [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
-
- private:
-  RetryPolicy retry_;
-  std::vector<HostEvent> events_;
-  FaultStats stats_;
-};
-
-#endif  // V_FAULT_ENABLED
 
 }  // namespace v::fault

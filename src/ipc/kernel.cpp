@@ -51,7 +51,6 @@ sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
   if (!dest.local_to(host_id())) ++domain_->stats_.remote_messages;
   Envelope env{pid_, request, segments, {}, {}, {},
                static_cast<std::uint32_t>(rec.send_seq), {}};
-#if V_TRACE_ENABLED
   rec.send_started_at = domain_->now();
   rec.last_send_code = request.code();
   if (auto& tr = domain_->tracer(); tr.active()) {
@@ -63,10 +62,10 @@ sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
         tr.sampler().decide(request.code())) {
       env.trace.set_sampled();
       env.trace.trace_id = tr.begin_trace();
+      // vlint: allow(hot-path-alloc): span naming, only while the tracer is active
+      const std::string_view op = obs::opcode_label(request.code());
       const std::uint32_t root =
-          tr.begin_span(env.trace.trace_id, 0,
-                        std::string("send ")
-                            .append(obs::opcode_label(request.code())),
+          tr.begin_span(env.trace.trace_id, 0, std::string("send ").append(op),
                         "send", pid_.raw, domain_->now());
       tr.set_process_label(pid_.raw, rec.name);
       tr.note_send(pid_.raw, root);
@@ -79,8 +78,6 @@ sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
   if (domain_->wd_threshold_ > 0 && !domain_->wd_armed_) {
     domain_->arm_watchdog(domain_->now() + domain_->wd_period_);
   }
-#endif
-#if V_FAULT_ENABLED
   // Reliable transactions: every send is covered, even when the FIRST hop
   // is local (never faulted) — the receptionist may forward the request
   // across the wire, and the lost forward or lost reply is then masked by
@@ -89,7 +86,6 @@ sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
   if (domain_->fault_active()) {
     domain_->arm_retransmit(env, dest, rec.send_seq);
   }
-#endif
   domain_->deliver(host_id(), std::move(env), dest);
   co_await sim::ParkAwaiter(rec.reply_waker, rec.fiber_state);
   co_return rec.reply;
@@ -107,7 +103,6 @@ sim::Co<msg::Message> Process::send_to_group(msg::Message request,
 
   Envelope proto{pid_, request, segments, {}, {}, {},
                  static_cast<std::uint32_t>(seq), {}};
-#if V_TRACE_ENABLED
   rec.send_started_at = domain_->now();
   rec.last_send_code = request.code();
   if (auto& tr = domain_->tracer(); tr.active()) {
@@ -134,7 +129,6 @@ sim::Co<msg::Message> Process::send_to_group(msg::Message request,
   if (domain_->wd_threshold_ > 0 && !domain_->wd_armed_) {
     domain_->arm_watchdog(domain_->now() + domain_->wd_period_);
   }
-#endif
   std::size_t delivered = 0;
   auto it = domain_->groups_.find(group);
   if (it != domain_->groups_.end()) {
@@ -202,41 +196,33 @@ void Process::forward(const Envelope& env, ProcessId new_dest) {
   // The forwarder will never reply to this request itself: settle its
   // outstanding-request ledger entry (duplicate-reply invariant).
   domain_->lint_.note_forwarded(env.addressed.raw, env.sender.raw);
-#if V_TRACE_ENABLED
   domain_->flight_.record(host_id(), obs::FlightKind::kForward,
                           domain_->now(), pid_.raw, new_dest.raw,
                           env.request.code(), env.txn_seq,
                           env.trace.sampled() ? 1 : 0);
-#endif
   // Copying env.name materializes it: the forwarded envelope carries an
   // OWNED copy of any fetched name bytes (the fetch-once attachment).
   Envelope fwd{env.sender, env.request, env.segments, env.name, env.trace,
                env.origin, env.txn_seq, env.addressed};
-#if V_FAULT_ENABLED
   if (domain_->fault_active()) {
     domain_->note_forward(fwd, new_dest, /*group=*/0);
   }
-#endif
   domain_->deliver(host_id(), std::move(fwd), new_dest);
 }
 
 void Process::forward_to_group(const Envelope& env, GroupId group) {
   ++domain_->stats_.forwards;
   domain_->lint_.note_forwarded(env.addressed.raw, env.sender.raw);
-#if V_TRACE_ENABLED
   domain_->flight_.record(host_id(), obs::FlightKind::kForward,
                           domain_->now(), pid_.raw,
                           static_cast<std::uint32_t>(group),
                           env.request.code(), env.txn_seq,
                           env.trace.sampled() ? 1 : 0);
-#endif
-#if V_FAULT_ENABLED
   if (domain_->fault_active()) {
     Envelope noted{env.sender, env.request, env.segments, env.name,
                    env.trace, env.origin, env.txn_seq, env.addressed};
     domain_->note_forward(noted, ProcessId::invalid(), group);
   }
-#endif
   std::size_t delivered = 0;
   auto it = domain_->groups_.find(group);
   if (it != domain_->groups_.end()) {
@@ -475,10 +461,8 @@ std::vector<ProcessId> Host::spawn_team(
 
 void Host::crash() {
   if (!alive_) return;
-#if V_TRACE_ENABLED
   domain_.flight_.record(id_, obs::FlightKind::kHostDown,
                          domain_.loop().now(), 0, 0, /*code=*/0, 0);
-#endif
   alive_ = false;
   paused_ = false;
   stash_.clear();  // packets queued behind a pause die with the host
@@ -499,28 +483,22 @@ void Host::crash() {
 void Host::restart() {
   V_CHECK(!alive_);
   alive_ = true;
-#if V_TRACE_ENABLED
   domain_.flight_.record(id_, obs::FlightKind::kHostUp,
                          domain_.loop().now(), 0, 0, /*code=*/0, 0);
-#endif
 }
 
 void Host::pause() {
   if (!alive_) return;
   paused_ = true;
-#if V_TRACE_ENABLED
   domain_.flight_.record(id_, obs::FlightKind::kHostDown,
                          domain_.loop().now(), 0, 0, /*code=*/1, 0);
-#endif
 }
 
 void Host::resume() {
   if (!paused_) return;
   paused_ = false;
-#if V_TRACE_ENABLED
   domain_.flight_.record(id_, obs::FlightKind::kHostUp,
                          domain_.loop().now(), 0, 0, /*code=*/1, 0);
-#endif
   // Flush in arrival order; each packet lands via a fresh zero-delay event
   // so its guards (staleness, duplicate suppression) run at resume time.
   auto stash = std::move(stash_);
@@ -560,7 +538,6 @@ Domain::Domain(CalibrationParams params, std::uint64_t seed)
   // micro-benchmarks) don't pay for a big empty bucket array.
   records_.reserve(64);
   by_pid_.reserve(64);
-#if V_TRACE_ENABLED
   // Mirror the kernel's own counters into the metrics registry as callback
   // entries, so one snapshot (JSON or a [metrics] Read) covers everything.
   // DomainStats stays the source of truth — existing accessors unchanged.
@@ -633,7 +610,6 @@ Domain::Domain(CalibrationParams params, std::uint64_t seed)
   metrics_.register_callback("trace", "skipped", [this] {
     return static_cast<double>(tracer_.sampler().skipped());
   });
-#endif
 }
 
 Domain::~Domain() {
@@ -667,9 +643,7 @@ void Domain::grow_env_slab() {
 Host& Domain::add_host(std::string name) {
   const auto id = static_cast<HostId>(hosts_.size() + 1);
   hosts_.push_back(std::make_unique<Host>(*this, id, std::move(name)));
-#if V_TRACE_ENABLED
   flight_.attach_host(id, hosts_.back()->name());
-#endif
   return *hosts_.back();
 }
 
@@ -728,19 +702,16 @@ void Domain::deliver(HostId from_host, Envelope env, ProcessId dest,
                      bool synth_on_dead) {
   const bool local = dest.local_to(from_host);
   sim::SimDuration hop = params_.hop(local);
-#if V_FAULT_ENABLED
   // Link faults apply to remote packets only: local IPC never crosses the
   // wire (and MoveFrom/MoveTo model bulk transfer separately).
   if (fault_plan_ != nullptr && !local) {
     const fault::PacketDecision verdict =
         fault_plan_->on_packet(from_host, dest.logical_host());
     if (verdict.duplicate) {
-#if V_TRACE_ENABLED
       flight_.record(dest.logical_host(), obs::FlightKind::kFaultDup,
                      loop_.now(), env.sender.raw, dest.raw,
                      env.request.code(), env.txn_seq,
                      env.trace.sampled() ? 1 : 0);
-#endif
       // The duplicate copy never synthesizes kNoReply: it is extra traffic,
       // not the transaction's packet of record.
       const std::uint32_t dup_slot = env_acquire();
@@ -752,17 +723,14 @@ void Domain::deliver(HostId from_host, Envelope env, ProcessId dest,
                            });
     }
     if (verdict.drop) {  // retransmission masks the loss
-#if V_TRACE_ENABLED
       flight_.record(dest.logical_host(), obs::FlightKind::kFaultDrop,
                      loop_.now(), env.sender.raw, dest.raw,
                      env.request.code(), env.txn_seq,
                      env.trace.sampled() ? 1 : 0);
-#endif
       return;
     }
     hop += verdict.extra_delay;
   }
-#endif
   // Park the envelope in the slab and schedule a slot-index closure: the
   // capture is 24 bytes no matter how fat Envelope grows, so the delivery
   // event always stays inside the event loop's inline action buffer.
@@ -778,7 +746,6 @@ void Domain::arrive_slot(std::uint32_t slot, ProcessId dest,
                          bool synth_on_dead) {
   auto* rec = find(dest);
   Envelope& env = env_node(slot).env;
-#if V_FAULT_ENABLED
   // A paused host neither accepts nor loses packets: they queue until
   // resume() and land through this same gate (so all guards re-run then).
   // The envelope leaves the slab for the stash (cold path) so a crash's
@@ -786,19 +753,18 @@ void Domain::arrive_slot(std::uint32_t slot, ProcessId dest,
   if (rec != nullptr && rec->host != nullptr && rec->host->paused_) {
     rec->host->stash_.push_back(
         [this, env = std::move(env), dest, synth_on_dead]() mutable {
+          // vlint: allow(hot-path-alloc): pause-stash replay, only while a host is paused
           arrive(std::move(env), dest, synth_on_dead);
         });
     env_release(slot);
     return;
   }
-#endif
   if (rec == nullptr || !rec->alive) {
     // vlint: allow(hot-path-alloc): dead-destination reply, off the hot delivery path
     if (synth_on_dead) synth_reply(env.sender, ReplyCode::kNoReply);
     env_release(slot);
     return;
   }
-#if V_FAULT_ENABLED
   if (fault_plan_ != nullptr) {
     // Transaction staleness: if the sender has moved past this transaction
     // (answered by a retransmit, or gave up), the copy answers nothing —
@@ -812,12 +778,12 @@ void Domain::arrive_slot(std::uint32_t slot, ProcessId dest,
     }
     // At-most-once: a duplicate of a transaction this server has already
     // seen is suppressed, re-driven or replayed — never re-executed.
+    // vlint: allow(hot-path-alloc): only while a fault plan is installed
     if (suppress_duplicate(*rec, env)) {
       env_release(slot);
       return;
     }
   }
-#endif
   // Protocol lint (V-check layer 2): validate the header invariants
   // before the server ever sees the message.  Malformed requests are
   // rejected here with a synthesized error reply, exactly as a
@@ -835,11 +801,9 @@ void Domain::arrive_slot(std::uint32_t slot, ProcessId dest,
   if (auto* sender = find(env.sender); sender != nullptr) {
     sender->blocked_on = dest;
   }
-#if V_TRACE_ENABLED
   // Queue-wait measurement starts the moment the message lands in the
   // receiver's mailbox (the hop delay itself is not queue time).
   if (env.trace.trace_id != 0) env.trace.enqueued_at = loop_.now();
-#endif
   env.addressed = dest;
   // Accepted: link the slot onto the destination's intrusive mailbox FIFO.
   detail::EnvNode& node = env_node(slot);
@@ -872,13 +836,12 @@ void Domain::deliver_reply(HostId from_host, msg::Message reply,
   lint_.check_reply(reply, from.raw, to.raw,
                     static_cast<std::uint64_t>(loop_.now()));
   std::uint32_t answered_seq = 0;
-#if V_FAULT_ENABLED
   if (fault_plan_ != nullptr) {
     // Close the transaction slot this reply answers, caching the reply so
     // duplicate requests replay it instead of re-executing.
+    // vlint: allow(hot-path-alloc): only while a fault plan is installed
     answered_seq = record_served_reply(to, reply, hint, origin);
   }
-#endif
   send_reply_packet(from_host, reply, to, hint, origin, answered_seq);
 }
 
@@ -889,16 +852,13 @@ void Domain::send_reply_packet(HostId from_host, const msg::Message& reply,
                                std::uint32_t answered_seq) {
   const bool local = to.local_to(from_host);
   sim::SimDuration hop = params_.hop(local);
-#if V_FAULT_ENABLED
   if (fault_plan_ != nullptr && !local) {
     const fault::PacketDecision verdict =
         fault_plan_->on_packet(from_host, to.logical_host());
     if (verdict.duplicate) {
-#if V_TRACE_ENABLED
       flight_.record(to.logical_host(), obs::FlightKind::kFaultDup,
                      loop_.now(), to.raw, 0,
                      static_cast<std::uint16_t>(reply.code()), answered_seq);
-#endif
       loop_.schedule_after(
           hop + verdict.extra_delay + verdict.dup_delay,
           [this, reply, to, hint, origin, answered_seq] {
@@ -906,16 +866,13 @@ void Domain::send_reply_packet(HostId from_host, const msg::Message& reply,
           });
     }
     if (verdict.drop) {  // the client's retransmit re-earns the reply
-#if V_TRACE_ENABLED
       flight_.record(to.logical_host(), obs::FlightKind::kFaultDrop,
                      loop_.now(), to.raw, 0,
                      static_cast<std::uint16_t>(reply.code()), answered_seq);
-#endif
       return;
     }
     hop += verdict.extra_delay;
   }
-#endif
   loop_.schedule_after(hop, [this, reply, to, hint, origin, answered_seq] {
     arrive_reply(to, reply, hint, origin, answered_seq);
   });
@@ -925,7 +882,6 @@ V_HOT_PATH
 void Domain::arrive_reply(ProcessId to, const msg::Message& reply,
                           const BindingHint& hint, const BindingHint& origin,
                           std::uint32_t answered_seq) {
-#if V_FAULT_ENABLED
   auto* rec = find(to);
   if (rec != nullptr && rec->host != nullptr && rec->host->paused_) {
     rec->host->stash_.push_back([this, to, reply, hint, origin,
@@ -945,7 +901,6 @@ void Domain::arrive_reply(ProcessId to, const msg::Message& reply,
     }
     return;
   }
-#endif
   complete_reply(to, reply, hint, origin);
 }
 
@@ -968,7 +923,6 @@ void Domain::complete_reply(ProcessId to, const msg::Message& reply,
   rec->reply = reply;
   rec->reply_hint = hint;      // {} for unhinted and synthesized replies
   rec->reply_origin = origin;
-#if V_TRACE_ENABLED
   if (rec->send_started_at >= 0) {
     const sim::SimTime now = loop_.now();
     const sim::SimDuration took = now - rec->send_started_at;
@@ -991,11 +945,8 @@ void Domain::complete_reply(ProcessId to, const msg::Message& reply,
   // replies alike.
   tracer_.end_send(to.raw, static_cast<std::uint16_t>(reply.code()),
                    loop_.now());
-#endif
   if (rec->reply_waker.armed()) rec->reply_waker.wake(loop_);
 }
-
-#if V_FAULT_ENABLED
 
 void Domain::install_faults(fault::FaultPlan& plan) {
   fault_plan_ = &plan;
@@ -1036,7 +987,6 @@ void Domain::install_faults(fault::FaultPlan& plan) {
       if (then) then();
     });
   }
-#if V_TRACE_ENABLED
   if (!fault_metrics_registered_) {
     fault_metrics_registered_ = true;
     auto mirror = [this](const char* name,
@@ -1065,7 +1015,6 @@ void Domain::install_faults(fault::FaultPlan& plan) {
     mirror("stale_replies_dropped",
            &fault::FaultStats::stale_replies_dropped);
   }
-#endif
 }
 
 void Domain::arm_retransmit(const Envelope& env, ProcessId dest,
@@ -1088,20 +1037,17 @@ void Domain::schedule_retransmit(Envelope env, ProcessId dest,
     if (remaining == 0) {
       // Budget exhausted: only now does the transport admit defeat.
       ++fault_plan_->stats().budget_exhausted;
-#if V_TRACE_ENABLED
       flight_.record(env.sender.logical_host(),
                      obs::FlightKind::kBudgetExhausted, loop_.now(),
                      env.sender.raw, dest.raw, env.request.code(), 0,
                      env.trace.sampled() ? 1 : 0);
       flight_.trigger(obs::kDumpRetryExhausted, loop_.now());
-#endif
       complete_reply(env.sender, msg::make_reply(ReplyCode::kNoReply));
       return;
     }
     ++fault_plan_->stats().retransmits;
     ++stats_.messages_sent;
     ++stats_.remote_messages;
-#if V_TRACE_ENABLED
     if (tracer_.active() && env.trace.trace_id == 0) {
       // Late promotion: a transaction that needed a retransmit is exactly
       // the kind head sampling should not have skipped.  Open its root
@@ -1129,7 +1075,6 @@ void Domain::schedule_retransmit(Envelope env, ProcessId dest,
                    loop_.now(), env.sender.raw, dest.raw,
                    env.request.code(), remaining,
                    env.trace.sampled() ? 1 : 0);
-#endif
     Envelope copy = env;
     deliver(env.sender.logical_host(), std::move(copy), dest);
     const auto backed_off = static_cast<sim::SimDuration>(
@@ -1229,10 +1174,6 @@ std::uint32_t Domain::record_served_reply(ProcessId to,
   return txn.seq;
 }
 
-#endif  // V_FAULT_ENABLED
-
-#if V_TRACE_ENABLED
-
 void Domain::set_latency_slo(std::uint16_t code, sim::SimDuration budget) {
   const bool fresh = slo_.find(code) == nullptr;
   slo_.set_budget(code, budget);
@@ -1309,7 +1250,6 @@ std::vector<Domain::FiberHotspot> Domain::top_fibers(std::size_t k) const {
   if (rows.size() > k) rows.resize(k);
   return rows;
 }
-#endif
 
 void Domain::kill_process(detail::ProcessRecord& rec) {
   // Name bytes borrowed from this sender's frame must become owned copies

@@ -99,7 +99,7 @@ struct Envelope {
   /// charges the full simulated MoveFrom cost (see Process::fetch_name).
   NameSpan name;
   /// V-trace state, propagated by Send/Forward (NOT paper wire format —
-  /// a simulation extra, PROTOCOL.md §10).  Empty with V_TRACE=OFF.
+  /// a simulation extra, PROTOCOL.md §10).
   obs::TraceContext trace;
   /// Binding of the context the CLIENT addressed, stamped by the first
   /// server before it forwards (simulation extra, PROTOCOL.md §11).  The
@@ -133,7 +133,6 @@ struct EnvNode {
   std::uint32_t next = kNilEnv;
 };
 
-#if V_FAULT_ENABLED
 /// At-most-once bookkeeping for one client's current transaction at one
 /// server (PROTOCOL.md "Reliable transactions").  A server record keeps one
 /// slot per client pid; a new transaction id from that client recycles it.
@@ -163,7 +162,6 @@ struct TxnState {
   BindingHint hint;
   BindingHint origin;
 };
-#endif  // V_FAULT_ENABLED
 
 /// Kernel-internal per-process state.  Retained (not freed) after process
 /// death so pid lookups and pending resumes stay safe; pids are not reused
@@ -198,20 +196,16 @@ struct ProcessRecord {
   std::uint64_t send_seq = 0;  ///< distinguishes sends for timeout events
   Segments exposed;            ///< segments of the in-flight send
 
-#if V_TRACE_ENABLED
   /// Observability bookkeeping for the in-flight send: when it started
   /// (SLO latency, watchdog overdue checks) and its opcode (SLO bucket).
   sim::SimTime send_started_at = -1;
   std::uint16_t last_send_code = 0;
-#endif
 
-#if V_FAULT_ENABLED
   /// Server-side duplicate suppression: one transaction slot per client
   /// pid (see TxnState).  Only populated while a FaultPlan is installed.
   /// Flat map: probed on every delivery under a fault plan, never erased
   /// per-entry (slots are overwritten per client, cleared on crash).
   FlatMap<std::uint32_t, TxnState> dup_table;
-#endif
 
   std::optional<sim::Fiber> fiber;
   /// Raw cache of fiber->state().get(), set once at spawn.  The hot
@@ -413,8 +407,7 @@ class Host {
   /// Suspend packet arrival at this host: requests and replies addressed
   /// to its processes queue instead of landing (a transient partition /
   /// unresponsive host, as a FaultPlan kPause event).  Local execution
-  /// continues.  Effective only in V_FAULT builds; resume() flushes the
-  /// queued packets in arrival order.
+  /// continues.  resume() flushes the queued packets in arrival order.
   void pause();
   void resume();
   [[nodiscard]] bool paused() const noexcept { return paused_; }
@@ -529,7 +522,6 @@ class Domain {
   }
 
   /// V-trace resolution-trace sink (inactive until tracer().enable()).
-  /// An inert shell when built with V_TRACE=OFF.
   [[nodiscard]] obs::TraceSink& tracer() noexcept { return tracer_; }
   [[nodiscard]] const obs::TraceSink& tracer() const noexcept {
     return tracer_;
@@ -543,14 +535,12 @@ class Domain {
   }
 
   /// V-blackbox flight recorder: always-on per-host rings of compact
-  /// event records, dumped on failure triggers (obs/flight.hpp).  A
-  /// configuration-only shell with V_TRACE=OFF.
+  /// event records, dumped on failure triggers (obs/flight.hpp).
   [[nodiscard]] obs::FlightRecorder& flight() noexcept { return flight_; }
   [[nodiscard]] const obs::FlightRecorder& flight() const noexcept {
     return flight_;
   }
 
-#if V_TRACE_ENABLED
   /// Give `code` a latency SLO: every completed Send of that opcode
   /// counts as within/over `budget` (simulated ns), readable as
   /// `[metrics] slo/<opcode>.within` and `.over`.
@@ -574,16 +564,7 @@ class Domain {
   [[nodiscard]] std::uint64_t watchdog_trips() const noexcept {
     return wd_trips_;
   }
-#else
-  void set_latency_slo(std::uint16_t, sim::SimDuration) noexcept {}
-  void enable_watchdog(sim::SimDuration, sim::SimDuration = 0) noexcept {}
-  [[nodiscard]] sim::SimDuration watchdog_threshold() const noexcept {
-    return 0;
-  }
-  [[nodiscard]] std::uint64_t watchdog_trips() const noexcept { return 0; }
-#endif
 
-#if V_FAULT_ENABLED
   /// Arm the V-fault machinery: schedule the plan's host lifecycle events,
   /// apply its link faults to every remote packet, and turn on reliable
   /// Send transactions (retransmission + duplicate suppression) governed
@@ -594,14 +575,7 @@ class Domain {
     return fault_plan_ != nullptr;
   }
   [[nodiscard]] fault::FaultPlan* fault_plan() noexcept { return fault_plan_; }
-#else
-  /// V_FAULT=OFF shell: installing a plan is legal and does nothing, so
-  /// harness code need not be #if-gated.
-  void install_faults(fault::FaultPlan&) noexcept {}
-  [[nodiscard]] bool fault_active() const noexcept { return false; }
-#endif
 
-#if V_TRACE_ENABLED
   /// One row of the event-loop profile: host CPU attributed to a fiber.
   struct FiberHotspot {
     std::string name;
@@ -611,7 +585,6 @@ class Domain {
   };
   /// The k fibers that burned the most host CPU, descending.
   [[nodiscard]] std::vector<FiberHotspot> top_fibers(std::size_t k) const;
-#endif
 
  private:
   friend class Host;
@@ -696,7 +669,6 @@ class Domain {
                       const BindingHint& origin = {});
   void kill_process(detail::ProcessRecord& rec);
 
-#if V_FAULT_ENABLED
   /// Client-side retransmission: re-deliver a copy of the send every
   /// (backed-off) timeout until the transaction closes or the budget is
   /// exhausted, then surface kNoReply.
@@ -716,7 +688,6 @@ class Domain {
   std::uint32_t record_served_reply(ProcessId to, const msg::Message& reply,
                                     const BindingHint& hint,
                                     const BindingHint& origin);
-#endif
 
   CalibrationParams params_;
   sim::EventLoop loop_;
@@ -747,7 +718,6 @@ class Domain {
   obs::TraceSink tracer_;
   obs::MetricsRegistry metrics_;
   obs::FlightRecorder flight_;
-#if V_TRACE_ENABLED
   obs::SloTracker slo_;
   // Watchdog state (enable_watchdog): scans are self-rescheduling events
   // that go dormant when nothing is blocked, so an idle loop still drains.
@@ -757,8 +727,6 @@ class Domain {
   sim::SimDuration wd_period_ = 0;
   bool wd_armed_ = false;
   std::uint64_t wd_trips_ = 0;
-#endif
-#if V_FAULT_ENABLED
   fault::FaultPlan* fault_plan_ = nullptr;
   /// client pid -> server record currently holding its transaction slot
   /// (the last server a request of that client was delivered to), so the
@@ -766,7 +734,6 @@ class Domain {
   /// server code.
   FlatMap<std::uint32_t, ProcessId> txn_holder_;
   bool fault_metrics_registered_ = false;
-#endif
 };
 
 }  // namespace v::ipc

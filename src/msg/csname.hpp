@@ -129,6 +129,7 @@ inline void clear_expected_generation(Message& m) noexcept {
 }
 
 /// True when the request is a recovery probe (see kFlagRecoveryProbe).
+V_HOT_PATH
 [[nodiscard]] inline bool is_recovery_probe(const Message& m) noexcept {
   return (cs_flags(m) & kFlagRecoveryProbe) != 0;
 }

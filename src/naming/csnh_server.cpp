@@ -69,7 +69,6 @@ class ContextDirectoryInstance : public io::BufferInstance {
                                    const ObjectDescriptor&)> apply_;
 };
 
-#if V_TRACE_ENABLED
 /// RAII hop span (V-trace): opened when a server dispatches a traced
 /// request, with a queue-wait child covering mailbox-arrival → dispatch
 /// (ended immediately) and a service child ended when the dispatch frame
@@ -124,7 +123,6 @@ class HopTrace {
   std::uint32_t hop_ = 0;
   std::uint32_t service_ = 0;
 };
-#endif  // V_TRACE_ENABLED
 
 }  // namespace
 
@@ -189,10 +187,7 @@ sim::Co<void> CsnhServer::run(ipc::Process self) {
       auto queue = work_queue_.write(self);
       if (!express && queue->size() >= team_.queue_cap) {
         ++sheds_;
-#if V_TRACE_ENABLED
         cached_counter(self, m_sheds_, "sheds").inc();
-#endif
-#if V_TRACE_ENABLED
         // The traced request dies here: an instant mark keeps the shed
         // visible in the hop tree (the root span closes with kBusy).
         if (auto& tr = self.domain().tracer();
@@ -203,7 +198,6 @@ sim::Co<void> CsnhServer::run(ipc::Process self) {
                             "shed " + metrics_scope_, "mark", pid_.raw, t);
           tr.end_span(mark, t);
         }
-#endif
         reply_csname(self, env, msg::make_reply(ReplyCode::kBusy));
         continue;
       }
@@ -212,10 +206,8 @@ sim::Co<void> CsnhServer::run(ipc::Process self) {
       } else {
         queue->push_back(std::move(env));
       }
-#if V_TRACE_ENABLED
       cached_gauge(self, m_queue_depth_, "queue_depth")
           .set(static_cast<std::int64_t>(queue->size()));
-#endif
     }
     work_ready_.notify_one(self.domain().loop());
   }
@@ -278,12 +270,10 @@ void CsnhServer::GateLock::note_acquired() const {
   domain_.checks().gate_acquired(
       &server_, key_.first, key_.second, pid_.raw,
       static_cast<std::uint64_t>(domain_.loop().now()));
-#if V_TRACE_ENABLED
   Gate& gate = server_.gates_[key_];
   gate.held_since = domain_.loop().now();
   domain_.flight().record(pid_.logical_host(), obs::FlightKind::kGateAcquire,
                           gate.held_since, pid_.raw, 0, 0, key_hash());
-#endif
 }
 
 bool CsnhServer::GateLock::await_ready() {
@@ -318,7 +308,6 @@ CsnhServer::GateLock::~GateLock() {
     if (!gate.held && gate.waiters.empty()) server_.gates_.erase(it);
     return;
   }
-#if V_TRACE_ENABLED
   {
     const sim::SimTime rel_now = domain_.loop().now();
     const sim::SimDuration held = rel_now - gate.held_since;
@@ -335,7 +324,6 @@ CsnhServer::GateLock::~GateLock() {
       domain_.flight().trigger(obs::kDumpWatchdog, rel_now);
     }
   }
-#endif
   // Hand the gate to the next waiter (FIFO) or retire it.
   while (!gate.waiters.empty()) {
     GateLock* next = gate.waiters.front();
@@ -356,7 +344,6 @@ CsnhServer::GateLock::~GateLock() {
 
 sim::Co<void> CsnhServer::dispatch(ipc::Process& self, ipc::Envelope env) {
   const std::uint16_t code = env.request.code();
-#if V_TRACE_ENABLED
   cached_counter(self, m_requests_, "requests").inc();
   req_counter(self, code).inc();
   std::optional<HopTrace> hop;
@@ -364,7 +351,6 @@ sim::Co<void> CsnhServer::dispatch(ipc::Process& self, ipc::Envelope env) {
       tr.active() && env.trace.trace_id != 0) {
     hop.emplace(self.domain(), tr, env, pid_, self.pid());
   }
-#endif
   if (msg::is_csname_request(code)) {
     co_await handle_csname(self, env);
     co_return;
@@ -495,9 +481,7 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
   if (msg::cs::has_expected_generation(env.request) &&
       msg::cs::expected_generation(env.request) !=
           validation_generation(ctx)) {
-#if V_TRACE_ENABLED
     cached_counter(self, m_stale_context_, "stale_context").inc();
-#endif
     reply_csname(self, env, msg::make_reply(ReplyCode::kStaleContext));
     co_return;
   }
@@ -553,9 +537,7 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
         env.origin = ipc::BindingHint{pid_.raw, entry_ctx,
                                       generation(entry_ctx), 0};
       }
-#if V_TRACE_ENABLED
       cached_counter(self, m_forwarded_, "forwarded").inc();
-#endif
       if (found.kind == LookupResult::Kind::kGroupContext) {
         // Section 7: the context is implemented by a group of servers; the
         // request is multicast and the first member to answer wins.
@@ -588,10 +570,8 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
 
   // Interpretation terminated at this server: record how many Forward hops
   // the request took to get here (0 = answered by the first server).
-#if V_TRACE_ENABLED
   cached_hist(self, m_hops_, "hops")
       .add(static_cast<double>(msg::cs::forward_count(env.request)));
-#endif
 
   // 5. Dispatch the operation against (ctx, leaf).  Mutating operations
   //    first acquire the (ctx, leaf) gate so concurrent team workers apply
@@ -1095,7 +1075,6 @@ sim::Co<msg::Message> CsnhServer::handle_custom(ipc::Process&,
 // V-trace metric helpers
 // ---------------------------------------------------------------------------
 
-#if V_TRACE_ENABLED
 obs::Counter& CsnhServer::req_counter(ipc::Process& self,
                                       std::uint16_t code) {
   if (auto it = req_counters_.find(code); it != req_counters_.end()) {
@@ -1109,10 +1088,8 @@ obs::Counter& CsnhServer::req_counter(ipc::Process& self,
   req_counters_[code] = &counter;
   return counter;
 }
-#endif
 
 void CsnhServer::reset_metric_handles() {
-#if V_TRACE_ENABLED
   m_requests_ = nullptr;
   m_forwarded_ = nullptr;
   m_sheds_ = nullptr;
@@ -1120,40 +1097,21 @@ void CsnhServer::reset_metric_handles() {
   m_queue_depth_ = nullptr;
   m_hops_ = nullptr;
   req_counters_.clear();
-#endif
 }
 
 void CsnhServer::metric_inc(ipc::Process& self, std::string_view name,
                             std::uint64_t n) {
-#if V_TRACE_ENABLED
   self.domain().metrics().counter(metrics_scope_, name).inc(n);
-#else
-  (void)self;
-  (void)name;
-  (void)n;
-#endif
 }
 
 void CsnhServer::metric_gauge(ipc::Process& self, std::string_view name,
                               std::int64_t value) {
-#if V_TRACE_ENABLED
   self.domain().metrics().gauge(metrics_scope_, name).set(value);
-#else
-  (void)self;
-  (void)name;
-  (void)value;
-#endif
 }
 
 void CsnhServer::metric_hist(ipc::Process& self, std::string_view name,
                              double value) {
-#if V_TRACE_ENABLED
   self.domain().metrics().histogram(metrics_scope_, name).add(value);
-#else
-  (void)self;
-  (void)name;
-  (void)value;
-#endif
 }
 
 }  // namespace v::naming

@@ -354,8 +354,7 @@ class CsnhServer {
   void bump_generation(ipc::Process& self, ContextId ctx);
 
   /// V-trace metric helpers: count/measure under this server's registry
-  /// scope (its process name).  Declared unconditionally so subclasses call
-  /// them unguarded; the bodies compile to nothing with V_TRACE=OFF.
+  /// scope (its process name).
   void metric_inc(ipc::Process& self, std::string_view name,
                   std::uint64_t n = 1);
   void metric_gauge(ipc::Process& self, std::string_view name,
@@ -366,22 +365,11 @@ class CsnhServer {
   /// first metric_inc through it resolves `name` exactly as the string-keyed
   /// overload would (same registry entry, same first-use moment); later
   /// calls are one pointer bump.  Subclasses holding handles override
-  /// reset_metric_handles() to clear them.  Empty with V_TRACE=OFF.
-#if V_TRACE_ENABLED
+  /// reset_metric_handles() to clear them.
   using CounterHandle = obs::Counter*;
-#else
-  using CounterHandle = std::nullptr_t;
-#endif
   void metric_inc(ipc::Process& self, CounterHandle& handle,
                   std::string_view name, std::uint64_t n = 1) {
-#if V_TRACE_ENABLED
     cached_counter(self, handle, name).inc(n);
-#else
-    (void)self;
-    (void)handle;
-    (void)name;
-    (void)n;
-#endif
   }
 
   /// Drop every cached metric handle.  run() calls this at each start:
@@ -524,7 +512,6 @@ class CsnhServer {
   std::string metrics_scope_;  ///< registry scope = process name (set in run)
   ipc::GroupId service_group_ = 0;  ///< joined on (re)start when nonzero
 
-#if V_TRACE_ENABLED
   // --- pre-resolved metric handles (data-path fast path, DESIGN.md §4l) ------
   // The per-packet counters used to pay a string concat plus two
   // string-keyed map probes per request (metrics.cpp entry()).  Registry
@@ -566,7 +553,6 @@ class CsnhServer {
   obs::Gauge* m_queue_depth_ = nullptr;
   obs::Histogram* m_hops_ = nullptr;
   FlatMap<std::uint16_t, obs::Counter*> req_counters_;
-#endif
 };
 
 }  // namespace v::naming

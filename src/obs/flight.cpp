@@ -1,7 +1,5 @@
 #include "obs/flight.hpp"
 
-#if V_BLACKBOX_ENABLED
-
 #include <algorithm>
 #include <cstdio>
 
@@ -178,5 +176,3 @@ void FlightRecorder::clear() {
 }
 
 }  // namespace v::obs
-
-#endif  // V_BLACKBOX_ENABLED

@@ -18,33 +18,17 @@
 // a dump of the same seed is byte-identical across runs — the dump IS a
 // reproduction artifact, not a log file.
 //
-// Build gating: the recorder compiles out with V_TRACE=OFF exactly like
-// the rest of v::obs (CI proves the untraced binary symbol-free), but it
-// deliberately guards its code with the derived macro V_BLACKBOX_ENABLED
-// rather than V_TRACE_ENABLED: tools/vlint treats V_TRACE_ENABLED regions
-// as compiled-out-of-measurement and skips them in the hot-path rule,
-// and the whole point of PR 8's satellite is that V-lint PROVES
-// FlightRecorder::record() and SamplePolicy::decide() allocation-free.
-// The derived macro keeps the preprocessor behavior identical while
-// leaving the bodies visible to the lint.
+// FlightRecorder::record() and SamplePolicy::decide() are V_HOT_PATH, so
+// V-lint proves them allocation-free.
 #pragma once
-
-#ifndef V_TRACE_ENABLED
-#define V_TRACE_ENABLED 1
-#endif
-
-#define V_BLACKBOX_ENABLED V_TRACE_ENABLED
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/annotate.hpp"
 #include "sim/time.hpp"
-
-#if V_BLACKBOX_ENABLED
-#include <string_view>
-#include <vector>
-#endif
 
 namespace v::obs {
 
@@ -52,8 +36,6 @@ namespace v::obs {
 /// 512 × 32 B = 16 KiB per host — small enough to be always-on, deep
 /// enough to cover several retry budgets of traffic around a failure.
 inline constexpr std::size_t kDefaultFlightCapacity = 512;
-
-#if V_BLACKBOX_ENABLED
 
 /// What a flight-recorder record describes.  Values are part of the dump
 /// format documented in DESIGN.md §4k — append, don't renumber.
@@ -266,29 +248,5 @@ inline constexpr std::uint16_t kDumpChaosOracle = 1;
 inline constexpr std::uint16_t kDumpRetryExhausted = 2;
 inline constexpr std::uint16_t kDumpWatchdog = 3;
 inline constexpr std::uint16_t kDumpOnDemand = 4;
-
-#else  // !V_BLACKBOX_ENABLED
-
-// Compiled-out shells.  Recording call sites are gated out at the call
-// site; what survives is configuration surface used by benches, which
-// must answer with the same defaults as the instrumented build so that
-// bench reports stay byte-identical across presets.
-class SamplePolicy {
- public:
-  void set_rate(double) {}
-  [[nodiscard]] double rate() const noexcept { return 1.0; }
-  void set_opcode_rate(std::uint16_t, double) {}
-};
-
-class FlightRecorder {
- public:
-  void set_capacity(std::size_t) {}
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return kDefaultFlightCapacity;
-  }
-  void set_dump_path(std::string) {}
-};
-
-#endif  // V_BLACKBOX_ENABLED
 
 }  // namespace v::obs

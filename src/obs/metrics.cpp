@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#if V_TRACE_ENABLED
-
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -141,5 +139,3 @@ std::string MetricsRegistry::to_json() const {
 }
 
 }  // namespace v::obs
-
-#endif  // V_TRACE_ENABLED

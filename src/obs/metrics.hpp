@@ -13,33 +13,20 @@
 //     registry as a `[metrics]` context — the paper's own context-directory
 //     mechanism (section 5.6) turned on the system itself, so a client can
 //     Open/Read "[metrics]fileserver/requests" like any file.
-//
-// With V_TRACE=OFF the registry is an inline empty shell: the query surface
-// stays (so the MetricsServer compiles and serves an empty context), but no
-// registration/update entry point exists — update sites are compiled out
-// under #if V_TRACE_ENABLED and no v::obs:: symbol survives.
 #pragma once
-
-#ifndef V_TRACE_ENABLED
-#define V_TRACE_ENABLED 1
-#endif
 
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/annotate.hpp"
-
-#if V_TRACE_ENABLED
-#include <functional>
-#include <map>
-
 #include "sim/time.hpp"
-#endif
 
 namespace v::obs {
 
@@ -52,11 +39,9 @@ namespace v::obs {
 /// E12 opens.  Values are non-negative doubles (typically simulated
 /// milliseconds), quantized to 1/1024 of the input unit (~1 µs for ms).
 ///
-/// Deliberately OUTSIDE the V_TRACE guard: it is a header-only value type
-/// with no registry ties (no v::obs:: symbol exists for it), and bench /
-/// workload harness code streams samples through it in every build
-/// flavour — observability gating applies to the domain's registries, not
-/// to a client-side statistics accumulator.
+/// A header-only value type with no registry ties: bench and workload
+/// harness code streams samples through it as a client-side statistics
+/// accumulator.
 class LogHistogram {
  public:
   static constexpr int kSubBucketBits = 4;  ///< 16 sub-buckets per octave
@@ -148,8 +133,6 @@ class LogHistogram {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-#if V_TRACE_ENABLED
 
 /// Monotone event count.
 class Counter {
@@ -294,29 +277,5 @@ class MetricsRegistry {
   std::map<std::string, ScopeMap, std::less<>> scopes_;
   std::vector<std::string> scope_order_;
 };
-
-#else  // !V_TRACE_ENABLED
-
-/// Query-only shell: the MetricsServer serves an empty registry; all update
-/// sites are compiled out under #if V_TRACE_ENABLED.
-class MetricsRegistry {
- public:
-  [[nodiscard]] const std::vector<std::string>& scopes() const noexcept {
-    return empty_;
-  }
-  [[nodiscard]] std::vector<std::string> names(std::string_view) const {
-    return {};
-  }
-  [[nodiscard]] std::optional<std::string> value_text(std::string_view,
-                                                      std::string_view) const {
-    return std::nullopt;
-  }
-  [[nodiscard]] std::string to_json() const { return "{}\n"; }
-
- private:
-  std::vector<std::string> empty_;
-};
-
-#endif  // V_TRACE_ENABLED
 
 }  // namespace v::obs

@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#if V_TRACE_ENABLED
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -314,5 +312,3 @@ bool TraceSink::write_chrome_json(const std::string& path) const {
 }
 
 }  // namespace v::obs
-
-#endif  // V_TRACE_ENABLED

@@ -9,43 +9,30 @@
 // one, so a completed request yields a causally-ordered hop tree.
 //
 // Spans carry SIMULATED time only and recording never consumes simulated
-// time, so enabling a TraceSink cannot change a single measured number —
-// the same guarantee V-check made, enforced by the same CI gate (bench
-// reports bit-identical with V_TRACE=OFF).
+// time, so enabling a TraceSink cannot change a single measured number
+// (Trace.FullSamplingLeavesSimulatedResultsUnchanged and the `ci.sh obs`
+// traced/untraced report diff hold it to that).
 //
 // Exports: Chrome trace-event JSON (load trace.json in Perfetto / about:
 // tracing; `ts`/`dur` are simulated microseconds) and an indented text
 // rendering for terminals and tests.
 //
-// Build flag: V_TRACE (default ON).  With V_TRACE=OFF this header provides
-// empty shells, every call site is compiled out, and CI proves no v::obs::
-// symbol survives in linked binaries.
+// The runtime switches are TraceSink::enable() and the sampler's rates; an
+// idle sink costs one `active()` test per send.
 #pragma once
-
-#ifndef V_TRACE_ENABLED
-#define V_TRACE_ENABLED 1
-#endif
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/annotate.hpp"
 #include "obs/flight.hpp"
 #include "sim/time.hpp"
 
-#if V_TRACE_ENABLED
-#include <string_view>
-#include <unordered_map>
-#include <utility>
-#include <vector>
-#endif
-
 namespace v::obs {
-
-/// True when the build carries the obs tooling; usable in `if constexpr`.
-constexpr bool enabled() noexcept { return V_TRACE_ENABLED != 0; }
-
-#if V_TRACE_ENABLED
 
 /// Human label for a request code.  Standard protocol codes return views
 /// over static string literals (no allocation, no copy); unknown codes
@@ -137,6 +124,7 @@ class TraceSink {
   void end_send(std::uint32_t sender_pid, std::uint16_t reply_code,
                 sim::SimTime now) {
     if (open_sends_.empty()) return;
+    // vlint: allow(hot-path-alloc): only while the tracer is active (a root span is open)
     end_send_slow(sender_pid, reply_code, now);
   }
 
@@ -188,29 +176,5 @@ class TraceSink {
   std::unordered_map<std::uint32_t, std::string> process_labels_;
   SamplePolicy sampler_;
 };
-
-#else  // !V_TRACE_ENABLED
-
-// Compiled-out shells: the envelope field costs nothing and the sink
-// answers "inactive" so any remaining `if (tracer.active())` guard folds
-// away.  Recording calls must sit under `#if V_TRACE_ENABLED` at the call
-// site; the shells deliberately do not provide them.
-struct TraceContext {};
-
-class TraceSink {
- public:
-  void enable() noexcept {}
-  void disable() noexcept {}
-  [[nodiscard]] bool active() const noexcept { return false; }
-  [[nodiscard]] SamplePolicy& sampler() noexcept { return sampler_; }
-  [[nodiscard]] const SamplePolicy& sampler() const noexcept {
-    return sampler_;
-  }
-
- private:
-  SamplePolicy sampler_;
-};
-
-#endif  // V_TRACE_ENABLED
 
 }  // namespace v::obs

@@ -13,8 +13,8 @@ using naming::ObjectDescriptor;
 
 namespace {
 
-/// Root-context leaf that serves the flight recorder's post-mortem dump
-/// (V_TRACE builds only).  Opening it fires an on-demand dump trigger and
+/// Root-context leaf that serves the flight recorder's post-mortem dump.
+/// Opening it fires an on-demand dump trigger and
 /// answers the rendered Chrome trace-event JSON as the file content, so
 /// `[metrics]flight-dump` is the paper-idiomatic way to pull a black-box
 /// snapshot out of a live installation.
@@ -45,9 +45,7 @@ sim::Co<naming::CsnhServer::LookupResult> MetricsServer::lookup(
     ipc::Process& /*self*/, ContextId ctx, std::string_view component) {
   if (registry_ == nullptr) co_return LookupResult::missing();
   if (ctx == naming::kDefaultContext) {
-#if V_TRACE_ENABLED
     if (component == kFlightDumpLeaf) co_return LookupResult::object();
-#endif
     const auto& scopes = registry_->scopes();
     for (std::size_t i = 0; i < scopes.size(); ++i) {
       if (scopes[i] == component) {
@@ -82,13 +80,11 @@ sim::Co<Result<ObjectDescriptor>> MetricsServer::describe(
     // The context itself: fall back to the generic context record.
     co_return co_await CsnhServer::describe(self, ctx, leaf);
   }
-#if V_TRACE_ENABLED
   if (ctx == naming::kDefaultContext && leaf == kFlightDumpLeaf) {
     // Size 0: the dump is rendered at Open time; a descriptor size would
     // be stale the moment another event is recorded.
     co_return describe_metric(ctx, std::string(leaf), std::string{});
   }
-#endif
   const std::string* scope = scope_of(ctx);
   if (scope == nullptr) co_return ReplyCode::kNotFound;
   auto value = registry_->value_text(*scope, leaf);
@@ -100,7 +96,6 @@ sim::Co<Result<std::unique_ptr<io::InstanceObject>>> MetricsServer::
     open_object(ipc::Process& self, ContextId ctx, std::string_view leaf,
                 std::uint16_t /*mode*/) {
   (void)self;
-#if V_TRACE_ENABLED
   if (ctx == naming::kDefaultContext && leaf == kFlightDumpLeaf) {
     // On-demand post-mortem: the Open fires a dump trigger (so the dump
     // records why it exists, and a configured dump path gets the file)
@@ -113,7 +108,6 @@ sim::Co<Result<std::unique_ptr<io::InstanceObject>>> MetricsServer::
     co_return std::make_unique<io::BufferInstance>(std::move(bytes),
                                                    io::kInstanceReadable);
   }
-#endif
   const std::string* scope = scope_of(ctx);
   if (scope == nullptr) co_return ReplyCode::kNotFound;
   const auto value = registry_->value_text(*scope, leaf);
@@ -141,10 +135,8 @@ sim::Co<Result<std::vector<ObjectDescriptor>>> MetricsServer::list_context(
       desc.name = scopes[i];
       entries.push_back(std::move(desc));
     }
-#if V_TRACE_ENABLED
     entries.push_back(
         describe_metric(ctx, std::string(kFlightDumpLeaf), std::string{}));
-#endif
     co_return entries;
   }
   const std::string* scope = scope_of(ctx);

@@ -10,10 +10,6 @@
 // "[metrics]fileserver/requests" through the normal CSname path and Reads
 // the same number a JSON snapshot reports.  Context directories, pattern
 // opens and QueryName all work for free via the CsnhServer base.
-//
-// With V_TRACE=OFF the registry shell is empty and the server serves an
-// empty root context; it still compiles and runs (no v::obs symbols are
-// referenced from the query surface).
 #pragma once
 
 #include <string>

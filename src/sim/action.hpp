@@ -76,7 +76,9 @@ class InlineAction {
   /// the scheduler then relocates with an inline memcpy and skips the
   /// destroy thunk entirely — two fewer indirect calls per event for the
   /// hot kernel closures (wake and deliver both qualify: a coroutine
-  /// handle plus raw pointers and PODs).
+  /// handle plus raw pointers and PODs).  An empty callable (a captureless
+  /// lambda) keeps the thunks: it has no value bytes, so a memcpy of its
+  /// one-byte object would read indeterminate memory.
   struct Ops {
     void (*invoke)(void*);
     void (*relocate)(void* dst, void* src) noexcept;
@@ -94,7 +96,7 @@ class InlineAction {
       },
       [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
       /*trivial_size=*/std::is_trivially_copyable_v<Fn> &&
-              std::is_trivially_destructible_v<Fn>
+              std::is_trivially_destructible_v<Fn> && !std::is_empty_v<Fn>
           ? sizeof(Fn)
           : 0,
       /*inline_storage=*/true,

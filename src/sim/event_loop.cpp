@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
-
-#if V_TRACE_ENABLED
 #include <chrono>
-#endif
+#include <utility>
 
 #include "common/log.hpp"
 #include "sim/task.hpp"
@@ -274,7 +271,6 @@ bool EventLoop::step_untimed() {
 // the number wall_vs_sim regressions actually care about.
 
 bool EventLoop::step() {
-#if V_TRACE_ENABLED
   const auto wall_start = std::chrono::steady_clock::now();
   const bool ran = step_untimed();
   stats_.wall_ns += static_cast<std::uint64_t>(
@@ -282,29 +278,20 @@ bool EventLoop::step() {
           std::chrono::steady_clock::now() - wall_start)
           .count());
   return ran;
-#else
-  return step_untimed();
-#endif
 }
 
 void EventLoop::run_until_idle() {
-#if V_TRACE_ENABLED
   const auto wall_start = std::chrono::steady_clock::now();
-#endif
   while (step_untimed()) {
   }
-#if V_TRACE_ENABLED
   stats_.wall_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - wall_start)
           .count());
-#endif
 }
 
 void EventLoop::run_until(SimTime deadline) {
-#if V_TRACE_ENABLED
   const auto wall_start = std::chrono::steady_clock::now();
-#endif
   for (;;) {
     if (due_.empty()) {
       if (pending_ == 0) break;
@@ -315,12 +302,10 @@ void EventLoop::run_until(SimTime deadline) {
     step_untimed();
   }
   if (now_ < deadline) now_ = deadline;
-#if V_TRACE_ENABLED
   stats_.wall_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - wall_start)
           .count());
-#endif
 }
 
 }  // namespace v::sim

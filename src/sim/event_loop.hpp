@@ -24,10 +24,6 @@
 // an overflow heap and are promoted as the wheel cursor approaches.
 #pragma once
 
-#ifndef V_TRACE_ENABLED
-#define V_TRACE_ENABLED 1
-#endif
-
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -60,14 +56,12 @@ struct EventLoopStats {
   /// means some closure outgrew the inline budget — find it and shrink it.
   std::uint64_t actions_inline = 0;
   std::uint64_t actions_heap = 0;
-#if V_TRACE_ENABLED
   /// Host-clock nanoseconds spent running events — actions plus scheduler
   /// overhead, accumulated per run_until_idle/run_until burst rather than
   /// per event (a per-event clock read would dominate the hot path at
-  /// timer-wheel speeds).  V-trace profiling; host time only — simulated
-  /// behavior is identical with it compiled out.
+  /// timer-wheel speeds).  V-trace profiling; host time only, never read
+  /// by simulated behavior.
   std::uint64_t wall_ns = 0;
-#endif
 };
 
 /// Discrete-event scheduler.  Not thread-safe; the whole simulation is
@@ -123,14 +117,12 @@ class EventLoop {
 
   [[nodiscard]] const EventLoopStats& stats() const noexcept { return stats_; }
 
-#if V_TRACE_ENABLED
   /// Host seconds burned per simulated second so far (V-trace profiling).
   /// > 1 means the simulation runs slower than real time on this host.
   [[nodiscard]] double wall_vs_sim() const noexcept {
     if (now_ <= 0) return 0.0;
     return static_cast<double>(stats_.wall_ns) / static_cast<double>(now_);
   }
-#endif
 
   /// Per-event dispatch hook (the V-blackbox flight recorder's "timer
   /// fires" channel): called once per executed event with the event's

@@ -25,10 +25,7 @@
 // CONDITIONAL EXPRESSION (`c ? co_await a : co_await b`) — use if/else.
 #pragma once
 
-#ifndef V_TRACE_ENABLED
-#define V_TRACE_ENABLED 1
-#endif
-
+#include <chrono>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
@@ -36,10 +33,6 @@
 #include <memory>
 #include <optional>
 #include <utility>
-
-#if V_TRACE_ENABLED
-#include <chrono>
-#endif
 
 #include "common/check.hpp"
 #include "sim/frame_pool.hpp"
@@ -62,10 +55,8 @@ struct FiberState {
   /// Owning simulated process (raw pid; 0 = no kernel process).  Set by the
   /// kernel at spawn; read by the ambient log context and the profiler.
   std::uint32_t pid = 0;
-#if V_TRACE_ENABLED
   std::uint64_t dispatches = 0;  ///< times the event loop resumed this fiber
   std::uint64_t wall_ns = 0;     ///< cumulative host-CPU time across resumes
-#endif
 };
 
 /// What is executing right now.  One global suffices: the simulation is
@@ -83,7 +74,6 @@ inline AmbientContext& ambient() noexcept {
   return ctx;
 }
 
-#if V_TRACE_ENABLED
 /// Opt-in switch for per-resume host-CPU charging (FiberState::wall_ns,
 /// read back through Domain::top_fibers).  Two steady_clock reads per
 /// fiber dispatch cost more than the rest of a warm park/wake cycle put
@@ -94,30 +84,26 @@ inline bool& fiber_profiling() noexcept {
   static bool enabled = false;
   return enabled;
 }
-#endif
 
 /// RAII marker placed around h.resume() at every resume site (fiber start,
 /// Waker wake, DelayAwaiter, WaitQueue, gate handoff): "this fiber runs
 /// from here to end of scope".  Nesting-safe (saves/restores the previous
-/// fiber) and null-tolerant.  With V_TRACE it also charges host-clock time
-/// to the fiber — host time, never simulated time, so profiling cannot
+/// fiber) and null-tolerant.  Under fiber_profiling() it also charges
+/// host-clock time to the fiber — host time, never simulated time, so profiling cannot
 /// perturb the run.
 class FiberRunScope {
  public:
   explicit FiberRunScope(FiberState* fiber) noexcept
       : fiber_(fiber), prev_(ambient().fiber) {
     ambient().fiber = fiber;
-#if V_TRACE_ENABLED
     if (fiber_ != nullptr && fiber_profiling()) {
       timed_ = true;
       start_ = std::chrono::steady_clock::now();
     }
-#endif
   }
   FiberRunScope(const FiberRunScope&) = delete;
   FiberRunScope& operator=(const FiberRunScope&) = delete;
   ~FiberRunScope() {
-#if V_TRACE_ENABLED
     if (fiber_ != nullptr) {
       ++fiber_->dispatches;
       if (timed_) {
@@ -127,17 +113,14 @@ class FiberRunScope {
                 .count());
       }
     }
-#endif
     ambient().fiber = prev_;
   }
 
  private:
   FiberState* fiber_;
   const FiberState* prev_;
-#if V_TRACE_ENABLED
   bool timed_ = false;
   std::chrono::steady_clock::time_point start_;
-#endif
 };
 
 /// A lazily-started coroutine returning T, awaited with symmetric transfer.

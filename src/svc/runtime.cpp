@@ -61,7 +61,6 @@ sim::Co<msg::Message> Rt::send_csname(msg::Message request,
 
 void Rt::set_cache(NameCache* cache) {
   cache_ = cache;
-#if V_TRACE_ENABLED
   if (cache_ != nullptr) {
     // Materialize the namecache scope so "[metrics]namecache" is listable
     // before the first hit/miss.
@@ -71,7 +70,6 @@ void Rt::set_cache(NameCache* cache) {
     metrics.counter("namecache", "stale");
     metrics.counter("namecache", "fallbacks");
   }
-#endif
 }
 
 V_HOT_PATH
@@ -268,9 +266,7 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_detailed(std::string_view name,
     const SplitName split = split_dir_leaf(name);
     if (!split.dir.empty()) {
       if (const auto hit = cache_->find(split.dir)) {
-#if V_TRACE_ENABLED
         self_.domain().metrics().counter("namecache", "hits").inc();
-#endif
         auto direct = co_await open_via_binding(name, mode, *hit, split);
         const ReplyCode code = direct.ok() ? ReplyCode::kOk : direct.code();
         if (code != ReplyCode::kStaleContext &&
@@ -281,19 +277,13 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_detailed(std::string_view name,
         }
         if (code == ReplyCode::kStaleContext) {
           cache_->note_stale();
-#if V_TRACE_ENABLED
           self_.domain().metrics().counter("namecache", "stale").inc();
-#endif
         }
         cache_->erase(split.dir);
         cache_->note_fallback();
-#if V_TRACE_ENABLED
         self_.domain().metrics().counter("namecache", "fallbacks").inc();
-#endif
       } else {
-#if V_TRACE_ENABLED
         self_.domain().metrics().counter("namecache", "misses").inc();
-#endif
       }
     }
   }

@@ -281,8 +281,6 @@ TEST(CachedOpen, GenerationBytesWithoutFlagRejectedByLint) {
 
 // --- observability ----------------------------------------------------------------
 
-#if V_TRACE_ENABLED
-
 TEST(CachedOpen, MetricsContextServesNamecacheCounters) {
   VFixture fx;
   servers::MetricsServer metrics_srv;
@@ -375,8 +373,6 @@ TEST(CachedOpen, WarmHitTraceShowsSingleHop) {
   ASSERT_EQ(warm_hops.size(), 1u);
   EXPECT_EQ(warm_hops[0]->parent, roots.back()->id);
 }
-
-#endif  // V_TRACE_ENABLED
 
 }  // namespace
 }  // namespace v

@@ -1,11 +1,8 @@
 // V-fault unit tests (DESIGN.md 4h): the deterministic FaultPlan itself,
 // the kernel's reliable-transaction machinery under scripted loss /
 // duplication / pause, and the naming-layer recovery paths (Rt retries and
-// multicast rebinding after a crash + restart).
-//
-// The kernel-level tests need the fault subsystem compiled in and sit under
-// #if V_FAULT_ENABLED; the recovery tests at the bottom drive crash/restart
-// through the core Host API and run in every build flavour.
+// multicast rebinding after a crash + restart).  The recovery tests at the
+// bottom drive crash/restart through the core Host API, with no FaultPlan.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -27,8 +24,6 @@ using sim::Co;
 using sim::kMillisecond;
 using test::kStorageGroup;
 using test::VFixture;
-
-#if V_FAULT_ENABLED
 
 // --- the plan itself --------------------------------------------------------
 
@@ -251,7 +246,6 @@ TEST(FaultIpc, ScheduledCrashAndRestartFireOnce) {
   EXPECT_TRUE(ws2.alive());
 }
 
-#if V_TRACE_ENABLED
 TEST(FaultMetrics, StatsMirroredIntoRegistry) {
   ipc::Domain dom;
   auto& ws1 = dom.add_host("ws1");
@@ -277,7 +271,6 @@ TEST(FaultMetrics, StatsMirroredIntoRegistry) {
   EXPECT_EQ(std::strtoull(retr->c_str(), nullptr, 10),
             plan.stats().retransmits);
 }
-#endif  // V_TRACE_ENABLED
 
 // --- satellite: negative-delay clamps observable via [metrics] --------------
 
@@ -302,7 +295,6 @@ TEST(FaultMetrics, NegativeDelayClampsStayZeroUnderJitterAndAreWireReadable) {
       svc::File f = opened.take();
       (void)co_await f.close();
     }
-#if V_TRACE_ENABLED
     // The clamp counter is part of the [metrics] context like any other
     // registry value: read it over the wire and insist the fault jitter
     // never scheduled into the past.
@@ -319,17 +311,12 @@ TEST(FaultMetrics, NegativeDelayClampsStayZeroUnderJitterAndAreWireReadable) {
                   bytes.value().size()),
               "0\n");
     (void)co_await f.close();
-#else
-    (void)metrics_pid;
-#endif
   });
   EXPECT_GT(plan.stats().duplicates + plan.stats().reorders, 0u);
   EXPECT_EQ(fx.dom.loop().stats().negative_delay_clamps, 0u);
 }
 
-#endif  // V_FAULT_ENABLED
-
-// --- naming-layer recovery (core crash API; every build flavour) ------------
+// --- naming-layer recovery (core crash API, no fault plan) -----------------
 
 TEST(RtRecovery, NoreplyRetryCountIsConfigurable) {
   // Same dead-forward scenario at two retry settings: the message traffic

@@ -37,8 +37,6 @@ using sim::kSecond;
 using test::kStorageGroup;
 using test::VFixture;
 
-#if V_FAULT_ENABLED
-
 constexpr std::uint64_t kSeedBase = 0xFA070000ULL;
 
 /// Same sweep contract as the other matrices: V_FUZZ_SEED pins a single
@@ -216,8 +214,6 @@ TEST(FaultMatrix, ChaosSweepNeverLiesAndRecoversBounded) {
   }
 }
 
-#if V_TRACE_ENABLED
-
 /// One engineered failing cell: the wire from the workstation to beta is
 /// dead, so the beta open defeats its retry budget and the kernel's
 /// kNoReply path fires an automatic flight-recorder dump.  Runs under
@@ -257,17 +253,6 @@ TEST(FaultMatrix, FailingCellDumpIsByteIdentical) {
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second) << "flight dump differs across identical runs";
 }
-
-#endif  // V_TRACE_ENABLED
-
-#else  // !V_FAULT_ENABLED
-
-TEST(FaultMatrix, SkippedWithoutFaultSubsystem) {
-  GTEST_SKIP() << "built with V_FAULT=OFF; the chaos matrix needs the "
-                  "fault subsystem";
-}
-
-#endif  // V_FAULT_ENABLED
 
 }  // namespace
 }  // namespace v

@@ -2,10 +2,6 @@
 // a multi-hop forwarding chain, the `[metrics]` context serving registry
 // values through the normal CSNH path, the ambient VLOG prefix, and the
 // Chrome trace-event export.
-//
-// The recording-side tests sit under #if V_TRACE_ENABLED so this binary
-// also builds and passes in a -DV_TRACE=OFF tree (where the shells record
-// nothing); the VLOG prefix test is always on — the logger is not gated.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -61,8 +57,6 @@ struct ChainFixture {
   std::vector<std::unique_ptr<servers::FileServer>> chain;
   std::vector<ipc::ProcessId> pids;
 };
-
-#if V_TRACE_ENABLED
 
 TEST(Trace, ForwardingChainSpanParentage) {
   constexpr int kLinks = 3;  // fs0 -> fs1 -> fs2 -> fs3: four hops
@@ -160,6 +154,68 @@ TEST(Trace, UntracedRunRecordsNothing) {
   ASSERT_EQ(fx.dom.process_failures(), 0u);
   EXPECT_TRUE(fx.dom.tracer().spans().empty());
   EXPECT_EQ(fx.dom.tracer().trace_count(), 0u);
+}
+
+/// What one forwarding-chain run leaves behind in simulated terms.
+struct ChainOutcome {
+  sim::SimTime end = 0;
+  std::vector<sim::SimDuration> open_latencies;
+  ipc::DomainStats stats;
+};
+
+/// Open names of every depth along a three-link chain, twice over, and
+/// record each open's simulated latency.
+ChainOutcome run_chain_opens(ChainFixture& fx) {
+  ChainOutcome out;
+  fx.ws->spawn("client", [&](ipc::Process self) -> Co<void> {
+    svc::Rt rt(self, {ipc::ProcessId::invalid(),
+                      {fx.pids[0], naming::kDefaultContext}});
+    for (int round = 0; round < 2; ++round) {
+      for (const char* name :
+           {"next/next/next/payload.dat", "next/next/next", "next/next",
+            "next/next/next/missing.dat"}) {
+        const sim::SimTime start = self.now();
+        auto opened = co_await rt.open(name, kOpenRead);
+        out.open_latencies.push_back(self.now() - start);
+        if (opened.ok()) {
+          svc::File f = opened.take();
+          (void)co_await f.close();
+        }
+      }
+    }
+  });
+  fx.dom.run();
+  EXPECT_EQ(fx.dom.process_failures(), 0u);
+  out.end = fx.dom.now();
+  out.stats = fx.dom.stats();
+  return out;
+}
+
+TEST(Trace, FullSamplingLeavesSimulatedResultsUnchanged) {
+  // Recording costs host time only: tracing every transaction and keeping
+  // the flight recorder's dump sink attached must not move a single
+  // simulated number against an idle domain running the same opens.
+  ChainFixture idle(3);
+  const ChainOutcome base = run_chain_opens(idle);
+
+  ChainFixture traced(3);
+  traced.dom.tracer().enable();
+  traced.dom.tracer().sampler().set_rate(1.0);
+  traced.dom.flight().set_dump_path(::testing::TempDir() +
+                                    "full_sampling_flight.json");
+  const ChainOutcome seen = run_chain_opens(traced);
+  traced.dom.flight().trigger(obs::kDumpOnDemand, traced.dom.now());
+
+  ASSERT_GT(traced.dom.tracer().trace_count(), 0u);
+  EXPECT_GT(traced.dom.flight().records(), 0u);
+  EXPECT_EQ(seen.end, base.end);
+  EXPECT_EQ(seen.open_latencies, base.open_latencies);
+  EXPECT_EQ(seen.stats.messages_sent, base.stats.messages_sent);
+  EXPECT_EQ(seen.stats.replies_sent, base.stats.replies_sent);
+  EXPECT_EQ(seen.stats.forwards, base.stats.forwards);
+  EXPECT_EQ(seen.stats.remote_messages, base.stats.remote_messages);
+  EXPECT_EQ(seen.stats.moves, base.stats.moves);
+  EXPECT_EQ(seen.stats.bytes_moved, base.stats.bytes_moved);
 }
 
 TEST(Metrics, ContextReadMatchesRegistry) {
@@ -586,8 +642,6 @@ TEST(Metrics, FlightDumpServedThroughMetricsContext) {
   EXPECT_NE(doc.find("dump on-demand"), std::string::npos);
   EXPECT_GT(fx.dom.flight().triggers(), 0u);
 }
-
-#endif  // V_TRACE_ENABLED
 
 TEST(Log, AmbientPrefixStampsTimeAndPid) {
   std::vector<std::string> lines;

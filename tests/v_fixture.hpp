@@ -145,7 +145,6 @@ struct VFixture {
         << dom.lint().first_dump();
     EXPECT_EQ(dom.lint().counters().stale_incarnations, 0u)
         << dom.lint().first_dump();
-#if V_TRACE_ENABLED
     // Chaos-oracle trigger: any failed expectation in the current test
     // fires a flight-recorder dump, so a failing fuzz seed hands back a
     // Perfetto-loadable post-mortem instead of just a counter mismatch.
@@ -156,7 +155,6 @@ struct VFixture {
       }
       dom.flight().trigger(obs::kDumpChaosOracle, dom.now());
     }
-#endif
   }
 
   ipc::Domain dom;

@@ -24,21 +24,15 @@ Five rules, each with a seeded must-fail fixture under tools/vlint/fixtures/:
                       placement `::new (`), make_unique/make_shared,
                       std::function construction, or node-based container
                       mutation; project functions they call must themselves
-                      be V_HOT_PATH or explicitly allowed.  Regions compiled
-                      out of measurement builds (#if V_TRACE_ENABLED /
-                      V_CHECKS_ENABLED / V_FAULT_ENABLED) are skipped.
+                      be V_HOT_PATH or explicitly allowed.
   wire-format         The CSname header offsets/widths in src/msg/csname.hpp
                       match the PROTOCOL.md section-2 table (and the accessor
                       widths match the table's u8/u16/u32 column); every
                       ReplyCode enumerator is decoded by to_string(); the
                       protocol lint's kMaxReplyCode tracks the enum.
 
-Engines: the primary engine is a self-contained C++ micro-parser (tokenizer,
-brace tree, per-function mini-CFG), so the pass runs on a GCC-only host.
-`--engine clang` selects a libclang (Python clang.cindex over
-compile_commands.json) backend and is gated on that module being installed;
-the annotations in src/common/annotate.hpp lower to [[clang::annotate]]
-exactly so that backend can find them in the AST.
+The engine is a self-contained C++ micro-parser (tokenizer, brace tree,
+per-function mini-CFG), so the pass runs on a GCC-only host.
 
 Suppressions: `// vlint: allow(<rule>): <reason>` on the finding's line or
 the line above.  A reason is mandatory.
@@ -65,11 +59,6 @@ ALL_RULES = (RULE_GATE, RULE_SUSPEND, RULE_CORO, RULE_HOT, RULE_WIRE)
 
 ANNOTATIONS = {"V_GATED_MUTATION", "V_HOT_PATH", "V_NO_SUSPEND",
                "V_BORROWS_SPAN"}
-
-# Preprocessor conditions compiled out of the measurement builds: tokens on
-# lines inside `#if <one of these>` are invisible to the hot-path rule.
-COMPILED_OUT_MACROS = ("V_TRACE_ENABLED", "V_CHECKS_ENABLED",
-                       "V_FAULT_ENABLED")
 
 # The gated name-mutation hooks of naming::CsnhServer.  Every override in a
 # server implementation file must be annotated V_GATED_MUTATION.
@@ -159,7 +148,7 @@ class Tok:
 
 
 # --------------------------------------------------------------------------
-# Source preparation: comment/string stripping, directives, gated regions
+# Source preparation: comment/string stripping, directives
 # --------------------------------------------------------------------------
 
 def strip_comments_strings(src):
@@ -236,44 +225,18 @@ def strip_comments_strings(src):
 
 
 def process_directives(clean):
-    """Blank preprocessor lines out of `clean` and compute the set of line
-    numbers inside compiled-out-of-measurement regions."""
-    lines = clean.split("\n")
-    gated = set()
-    stack = []  # (this_branch_gated, cond_mentions_macro, negated)
+    """Blank preprocessor lines (with their continuations) out of `clean`.
+    Every branch of a conditional stays visible: the rules see all the code
+    any configuration compiles."""
     out_lines = []
     in_continuation = False
-    for idx, text in enumerate(lines):
-        lineno = idx + 1
-        stripped = text.lstrip()
-        is_directive = in_continuation or stripped.startswith("#")
-        if is_directive:
+    for text in clean.split("\n"):
+        if in_continuation or text.lstrip().startswith("#"):
             in_continuation = text.rstrip().endswith("\\")
-            if not in_continuation or stripped.startswith("#"):
-                body = stripped.lstrip("#").strip()
-                if body.startswith(("if ", "ifdef", "ifndef", "if(")):
-                    mentions = any(m in body for m in COMPILED_OUT_MACROS)
-                    negated = "!" in body.split("//")[0]
-                    branch_gated = mentions and not negated
-                    stack.append([branch_gated, mentions, negated])
-                elif body.startswith(("elif", "else")) and stack:
-                    top = stack[-1]
-                    if body.startswith("else"):
-                        top[0] = top[1] and top[2]
-                    else:
-                        mentions = any(m in body
-                                       for m in COMPILED_OUT_MACROS)
-                        negated = "!" in body
-                        top[0] = mentions and not negated
-                        top[1] = top[1] or mentions
-                elif body.startswith("endif") and stack:
-                    stack.pop()
             out_lines.append("")
-            continue
-        if any(level[0] for level in stack):
-            gated.add(lineno)
-        out_lines.append(text)
-    return "\n".join(out_lines), gated
+        else:
+            out_lines.append(text)
+    return "\n".join(out_lines)
 
 
 def tokenize(text):
@@ -292,7 +255,7 @@ class ParsedFile:
     def __init__(self, path, src):
         self.path = path
         clean, self.supp = strip_comments_strings(src)
-        clean, self.gated_lines = process_directives(clean)
+        clean = process_directives(clean)
         self.clean = clean
         self.toks = tokenize(clean)
         self.funcs = extract_functions(self)
@@ -940,8 +903,6 @@ def rule_hot(index, findings):
                 continue
             for i in range(f.body_s, f.body_e):
                 tok = toks[i]
-                if tok.line in pf.gated_lines:
-                    continue
                 t = tok.text
                 nxt = toks[i + 1].text if i + 1 < f.body_e else ""
                 prev = toks[i - 1].text if i > f.body_s else ""
@@ -1208,10 +1169,6 @@ def main(argv=None):
     ap.add_argument("--compdb",
                     help="compile_commands.json: restrict .cpp scanning to "
                          "its translation units")
-    ap.add_argument("--engine", choices=("textual", "clang"),
-                    default="textual",
-                    help="'clang' requires the Python clang.cindex module "
-                         "(libclang); 'textual' is self-contained")
     ap.add_argument("--fixture", metavar="DIR",
                     help="analyze one fixture directory instead of the tree")
     ap.add_argument("--check-fixtures", action="store_true",
@@ -1224,19 +1181,6 @@ def main(argv=None):
         for r in ALL_RULES:
             print(r)
         return 0
-
-    if args.engine == "clang":
-        try:
-            import clang.cindex  # noqa: F401
-        except ImportError:
-            print("vlint: --engine clang requires the Python clang.cindex "
-                  "module (libclang); it is not installed on this host. "
-                  "The textual engine implements the same rules: rerun "
-                  "with --engine textual.", file=sys.stderr)
-            return 2
-        print("vlint: the libclang backend is gated but not yet wired; "
-              "use --engine textual.", file=sys.stderr)
-        return 2
 
     here = os.path.dirname(os.path.abspath(__file__))
     if args.check_fixtures:
