@@ -4,11 +4,12 @@
 #
 #   scripts/ci.sh          # plain RelWithDebInfo build + ctest
 #   scripts/ci.sh asan     # Debug + -fsanitize=address,undefined + ctest
-#   scripts/ci.sh sanitize # UBSan run of test_engine, test_cached_open and
-#                          # the flat-table suites (test_file_server,
-#                          # test_chk, test_name_cache), plus a TSan build
-#                          # (build-only: the sim is single-threaded, TSan
-#                          # proves it still links)
+#   scripts/ci.sh sanitize # UBSan run of test_engine, test_cached_open, the
+#                          # flat-table suites (test_file_server, test_chk,
+#                          # test_name_cache) and the transaction-layer
+#                          # suites (test_fault, test_crash_replies), plus a
+#                          # TSan build (build-only: the sim is
+#                          # single-threaded, TSan proves it still links)
 #   scripts/ci.sh lint     # clang-tidy over src/ (skips if not installed;
 #                          # skips unchanged files via a content-hash cache)
 #   scripts/ci.sh slint    # V-lint static analysis (tools/vlint): tree must
@@ -18,6 +19,8 @@
 #                          # bench numbers bit-identical to the baseline
 #   scripts/ci.sh trace    # V-trace: run the trace example and validate
 #                          # its Chrome JSON
+#   scripts/ci.sh scale    # E14: two smoke days byte-identical, and the full
+#                          # day identical to the checked-in BENCH_scale.json
 #   scripts/ci.sh bench-smoke  # run every bench with --json and validate
 #                          # each report against the JsonReport schema
 #   scripts/ci.sh perf     # engine-throughput gate: bench_engine --json,
@@ -49,9 +52,12 @@ run_sanitize() {
   echo "==> sanitize (UBSan run + TSan build)"
   echo "==> sanitize: ubsan configure/build"
   # test_file_server, test_chk and test_name_cache cover the flat per-request
-  # tables (dense i-node vector, lint ledger, cache dependent counts).
+  # tables (dense i-node vector, lint ledger, cache dependent counts);
+  # test_fault and test_crash_replies cover the transaction layer on both
+  # sides of its lossy/lossless split (DESIGN.md 4h).
   local suites=(
     test_engine test_cached_open test_file_server test_chk test_name_cache
+    test_fault test_crash_replies
   )
   cmake --preset ubsan
   cmake --build --preset ubsan -j "$(nproc)" --target "${suites[@]}"
@@ -187,7 +193,8 @@ run_bench_smoke() {
 }
 
 run_scale() {
-  echo "==> scale (E14 production-day smoke: determinism + schema + safety)"
+  echo "==> scale (E14 production day: smoke determinism + schema + safety,"
+  echo "    full-day report identity)"
   cmake --preset default
   cmake --build --preset default -j "$(nproc)" --target bench_scale
   # The shrunken day must pass its own acceptance gate (zero wrong replies,
@@ -198,6 +205,11 @@ run_scale() {
   ./build/bench/bench_scale --smoke --json /tmp/scale_smoke2.json >/dev/null
   diff /tmp/scale_smoke1.json /tmp/scale_smoke2.json
   python3 scripts/check_bench_json.py /tmp/scale_smoke1.json
+  # The full day must regenerate the checked-in report byte for byte.  This
+  # pins the churn cell, which runs under a crash-only FaultPlan, so any
+  # change to the transaction layer that moves a simulated result shows.
+  ./build/bench/bench_scale --json /tmp/scale_full.json >/dev/null
+  diff BENCH_scale.json /tmp/scale_full.json
   echo "scale OK"
 }
 

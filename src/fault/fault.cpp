@@ -1,16 +1,34 @@
 #include "fault/fault.hpp"
 
+#include "common/check.hpp"
+
 namespace v::fault {
+
+namespace {
+bool can_fault(const LinkFaults& lf) noexcept {
+  return lf.drop > 0.0 || lf.duplicate > 0.0 || lf.reorder > 0.0;
+}
+}  // namespace
 
 FaultPlan::FaultPlan(std::uint64_t seed) : rng_(seed) {}
 
 void FaultPlan::set_default_link(const LinkFaults& faults) {
+  V_CHECK(!links_frozen_);  // links are fixed once the plan is installed
   default_link_ = faults;
 }
 
 void FaultPlan::set_link(std::uint16_t from, std::uint16_t to,
                          const LinkFaults& faults) {
+  V_CHECK(!links_frozen_);  // links are fixed once the plan is installed
   links_[{from, to}] = faults;
+}
+
+bool FaultPlan::lossless() const noexcept {
+  if (can_fault(default_link_)) return false;
+  for (const auto& [_, lf] : links_) {
+    if (can_fault(lf)) return false;
+  }
+  return true;
 }
 
 void FaultPlan::set_retry(const RetryPolicy& policy) { retry_ = policy; }

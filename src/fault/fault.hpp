@@ -11,12 +11,26 @@
 // host, plus the retransmission policy the kernel uses to mask the losses.
 //
 // Everything is deterministic: all randomness flows from the plan's own
-// seeded Rng, and every decision draws the same number of variates so the
-// per-seed random stream keeps its shape across different loss rates (runs
-// differing only in probabilities stay comparable event-for-event).
+// seeded Rng, and every verdict draws the same number of variates, so
+// across lossy plans the per-seed random stream keeps its shape whatever
+// the rates (runs differing only in probabilities stay comparable
+// event-for-event).
+//
+// The plan has two halves, and the kernel arms only what it needs:
+//   - every installed plan: transaction ids, the staleness check, late-reply
+//     drops and the host lifecycle schedule;
+//   - a plan whose links can fault (!lossless()): loss masking, i.e. the
+//     per-packet verdicts, retransmission under the RetryPolicy and the
+//     server-side duplicate suppression.
+// A lossless plan (crash / pause schedules only) draws no variates at all:
+// the kernel never asks it for a verdict.
+// Link faults are frozen when the plan is installed (set_link and
+// set_default_link then fail a V_CHECK): a Send issued under a lossless plan
+// arms no retransmit timer, so a link that turned lossy later could park
+// its client forever.
 //
 // A Domain with no plan installed never consults one: its warm path pays
-// one null-pointer test per remote packet.
+// one flag test per remote packet.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +88,9 @@ struct PacketDecision {
 
 /// Counters for everything the plan did and everything the kernel's
 /// reliability machinery did in response.  The kernel owns the increments
-/// of the transaction-layer fields.
+/// of the transaction-layer fields.  Under a lossless plan the packet and
+/// loss-masking counters stay zero: no verdict is drawn, nothing is
+/// retransmitted, suppressed or replayed.
 struct FaultStats {
   std::uint64_t packets_seen = 0;
   std::uint64_t drops = 0;
@@ -102,11 +118,20 @@ class FaultPlan {
 
   /// Fault rates for every link without a specific override.  Local
   /// delivery (sender and receiver on one host) is never faulted: the
-  /// paper's local IPC does not cross the wire.
+  /// paper's local IPC does not cross the wire.  Links are configured
+  /// before install: after Domain::install_faults both setters fail a
+  /// V_CHECK.
   void set_default_link(const LinkFaults& faults);
   /// Fault rates for the directed link `from` -> `to` (raw HostId values).
   void set_link(std::uint16_t from, std::uint16_t to,
                 const LinkFaults& faults);
+
+  /// True when no link can drop, duplicate or reorder a packet: the
+  /// default link and every override have all three rates at zero.  The
+  /// kernel then arms no loss masking for this plan (see the file comment).
+  [[nodiscard]] bool lossless() const noexcept;
+  /// Freeze the link configuration (Domain::install_faults calls this).
+  void freeze_links() noexcept { links_frozen_ = true; }
 
   void set_retry(const RetryPolicy& policy);
   [[nodiscard]] const RetryPolicy& retry() const noexcept { return retry_; }
@@ -125,7 +150,8 @@ class FaultPlan {
   }
 
   /// Decide the fate of one packet crossing `from` -> `to`.  Draws a fixed
-  /// number of variates per call regardless of outcome.
+  /// number of variates per call regardless of outcome.  The kernel calls
+  /// it only for a plan that is not lossless().
   [[nodiscard]] PacketDecision on_packet(std::uint16_t from,
                                          std::uint16_t to);
 
@@ -142,6 +168,7 @@ class FaultPlan {
   RetryPolicy retry_;
   std::vector<HostEvent> events_;
   FaultStats stats_;
+  bool links_frozen_ = false;
 };
 
 }  // namespace v::fault

@@ -78,12 +78,14 @@ sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
   if (domain_->wd_threshold_ > 0 && !domain_->wd_armed_) {
     domain_->arm_watchdog(domain_->now() + domain_->wd_period_);
   }
-  // Reliable transactions: every send is covered, even when the FIRST hop
-  // is local (never faulted) — the receptionist may forward the request
-  // across the wire, and the lost forward or lost reply is then masked by
-  // retransmitting to the first hop, whose duplicate table re-drives the
-  // stored forward.
-  if (domain_->fault_active()) {
+  // Loss masking: under a plan whose links can fault, every send is
+  // covered, even when the FIRST hop is local (never faulted) — the
+  // receptionist may forward the request across the wire, and the lost
+  // forward or lost reply is then masked by retransmitting to the first
+  // hop, whose duplicate table re-drives the stored forward.  A lossless
+  // plan loses nothing to mask: no timer, and (as with no plan) a live
+  // server is never timed out; kNoReply comes from crash detection only.
+  if (domain_->loss_masking_) {
     domain_->arm_retransmit(env, dest, rec.send_seq);
   }
   domain_->deliver(host_id(), std::move(env), dest);
@@ -204,7 +206,7 @@ void Process::forward(const Envelope& env, ProcessId new_dest) {
   // OWNED copy of any fetched name bytes (the fetch-once attachment).
   Envelope fwd{env.sender, env.request, env.segments, env.name, env.trace,
                env.origin, env.txn_seq, env.addressed};
-  if (domain_->fault_active()) {
+  if (domain_->loss_masking_) {
     domain_->note_forward(fwd, new_dest, /*group=*/0);
   }
   domain_->deliver(host_id(), std::move(fwd), new_dest);
@@ -218,7 +220,7 @@ void Process::forward_to_group(const Envelope& env, GroupId group) {
                           static_cast<std::uint32_t>(group),
                           env.request.code(), env.txn_seq,
                           env.trace.sampled() ? 1 : 0);
-  if (domain_->fault_active()) {
+  if (domain_->loss_masking_) {
     Envelope noted{env.sender, env.request, env.segments, env.name,
                    env.trace, env.origin, env.txn_seq, env.addressed};
     domain_->note_forward(noted, ProcessId::invalid(), group);
@@ -475,7 +477,8 @@ void Host::crash() {
   for (auto& rec : domain_.records_) {
     if (rec->alive && rec->awaiting_reply &&
         rec->blocked_on.valid() && rec->blocked_on.logical_host() == id_) {
-      domain_.synth_reply(rec->pid, ReplyCode::kNoReply);
+      domain_.synth_reply(rec->pid, ReplyCode::kNoReply,
+                          static_cast<std::uint32_t>(rec->send_seq));
     }
   }
 }
@@ -703,8 +706,9 @@ void Domain::deliver(HostId from_host, Envelope env, ProcessId dest,
   const bool local = dest.local_to(from_host);
   sim::SimDuration hop = params_.hop(local);
   // Link faults apply to remote packets only: local IPC never crosses the
-  // wire (and MoveFrom/MoveTo model bulk transfer separately).
-  if (fault_plan_ != nullptr && !local) {
+  // wire (and MoveFrom/MoveTo model bulk transfer separately).  A lossless
+  // plan draws no verdict at all.
+  if (loss_masking_ && !local) {
     const fault::PacketDecision verdict =
         fault_plan_->on_packet(from_host, dest.logical_host());
     if (verdict.duplicate) {
@@ -760,8 +764,12 @@ void Domain::arrive_slot(std::uint32_t slot, ProcessId dest,
     return;
   }
   if (rec == nullptr || !rec->alive) {
-    // vlint: allow(hot-path-alloc): dead-destination reply, off the hot delivery path
-    if (synth_on_dead) synth_reply(env.sender, ReplyCode::kNoReply);
+    // The synthesized kNoReply answers THIS copy's transaction: a stale
+    // copy (a retransmit landing after its sender moved on) fails nothing.
+    if (synth_on_dead) {
+      // vlint: allow(hot-path-alloc): dead-destination reply, off the hot delivery path
+      synth_reply(env.sender, ReplyCode::kNoReply, env.txn_seq);
+    }
     env_release(slot);
     return;
   }
@@ -769,19 +777,25 @@ void Domain::arrive_slot(std::uint32_t slot, ProcessId dest,
     // Transaction staleness: if the sender has moved past this transaction
     // (answered by a retransmit, or gave up), the copy answers nothing —
     // processing it could only produce a reply no one is waiting for.
-    if (auto* sender = find(env.sender);
-        sender != nullptr &&
+    auto* sender = find(env.sender);
+    if (sender != nullptr &&
         (!sender->awaiting_reply ||
          static_cast<std::uint32_t>(sender->send_seq) != env.txn_seq)) {
       env_release(slot);
       return;
     }
-    // At-most-once: a duplicate of a transaction this server has already
-    // seen is suppressed, re-driven or replayed — never re-executed.
-    // vlint: allow(hot-path-alloc): only while a fault plan is installed
-    if (suppress_duplicate(*rec, env)) {
-      env_release(slot);
-      return;
+    if (loss_masking_) {
+      // At-most-once: a duplicate of a transaction this server has already
+      // seen is suppressed, re-driven or replayed — never re-executed.
+      // vlint: allow(hot-path-alloc): only while the plan's links can fault
+      if (suppress_duplicate(*rec, env)) {
+        env_release(slot);
+        return;
+      }
+    } else if (sender != nullptr) {
+      // Lossless: no duplicates exist, so the slot is just the id that
+      // the reply will answer (late-reply drops, arrive_reply).
+      sender->arrived_seq = env.txn_seq;
     }
   }
   // Protocol lint (V-check layer 2): validate the header invariants
@@ -792,7 +806,7 @@ void Domain::arrive_slot(std::uint32_t slot, ProcessId dest,
           env.request, env.sender.raw, env.segments.read_size(), dest.raw,
           static_cast<std::uint64_t>(loop_.now()))) {
     // vlint: allow(hot-path-alloc): malformed-request reject, off the hot delivery path
-    synth_reply(env.sender, *reject);
+    synth_reply(env.sender, *reject, env.txn_seq);
     env_release(slot);
     return;
   }
@@ -836,11 +850,16 @@ void Domain::deliver_reply(HostId from_host, msg::Message reply,
   lint_.check_reply(reply, from.raw, to.raw,
                     static_cast<std::uint64_t>(loop_.now()));
   std::uint32_t answered_seq = 0;
-  if (fault_plan_ != nullptr) {
+  if (loss_masking_) {
     // Close the transaction slot this reply answers, caching the reply so
     // duplicate requests replay it instead of re-executing.
-    // vlint: allow(hot-path-alloc): only while a fault plan is installed
+    // vlint: allow(hot-path-alloc): only while the plan's links can fault
     answered_seq = record_served_reply(to, reply, hint, origin);
+  } else if (fault_plan_ != nullptr) {
+    // Lossless: stamp the id of the request copy that last landed.
+    if (const auto* client = find(to); client != nullptr) {
+      answered_seq = client->arrived_seq;
+    }
   }
   send_reply_packet(from_host, reply, to, hint, origin, answered_seq);
 }
@@ -852,7 +871,7 @@ void Domain::send_reply_packet(HostId from_host, const msg::Message& reply,
                                std::uint32_t answered_seq) {
   const bool local = to.local_to(from_host);
   sim::SimDuration hop = params_.hop(local);
-  if (fault_plan_ != nullptr && !local) {
+  if (loss_masking_ && !local) {
     const fault::PacketDecision verdict =
         fault_plan_->on_packet(from_host, to.logical_host());
     if (verdict.duplicate) {
@@ -890,22 +909,29 @@ void Domain::arrive_reply(ProcessId to, const msg::Message& reply,
     });
     return;
   }
-  // A tracked reply must answer the sender's CURRENT transaction: a late
-  // copy of an earlier transaction's reply (duplicated in flight, or the
-  // client already gave up and moved on) must not complete a newer send.
-  if (answered_seq != 0 &&
-      (rec == nullptr ||
-       static_cast<std::uint32_t>(rec->send_seq) != answered_seq)) {
-    if (fault_plan_ != nullptr) {
-      ++fault_plan_->stats().stale_replies_dropped;
-    }
-    return;
-  }
+  if (stale_reply(rec, answered_seq)) return;
   complete_reply(to, reply, hint, origin);
 }
 
-void Domain::synth_reply(ProcessId to, ReplyCode code) {
-  loop_.schedule_after(params_.local_hop, [this, to, code] {
+V_HOT_PATH
+bool Domain::stale_reply(const detail::ProcessRecord* rec,
+                         std::uint32_t answered_seq) {
+  // A tracked reply must answer the sender's CURRENT transaction: a late
+  // copy of an earlier transaction's reply (duplicated in flight, or the
+  // client already gave up and moved on) must not complete a newer send.
+  if (answered_seq == 0 ||
+      (rec != nullptr &&
+       static_cast<std::uint32_t>(rec->send_seq) == answered_seq)) {
+    return false;
+  }
+  if (fault_plan_ != nullptr) ++fault_plan_->stats().stale_replies_dropped;
+  return true;
+}
+
+void Domain::synth_reply(ProcessId to, ReplyCode code,
+                         std::uint32_t answered_seq) {
+  loop_.schedule_after(params_.local_hop, [this, to, code, answered_seq] {
+    if (stale_reply(find(to), answered_seq)) return;
     complete_reply(to, msg::make_reply(code));
   });
 }
@@ -950,6 +976,8 @@ void Domain::complete_reply(ProcessId to, const msg::Message& reply,
 
 void Domain::install_faults(fault::FaultPlan& plan) {
   fault_plan_ = &plan;
+  plan.freeze_links();
+  loss_masking_ = !plan.lossless();
   for (const auto& ev : plan.events()) {
     const std::uint16_t host_idx = ev.host;
     const fault::HostEvent::Kind kind = ev.kind;

@@ -108,8 +108,9 @@ struct Envelope {
   BindingHint origin;
   /// Transaction id of the Send this message belongs to (low 32 bits of
   /// the sender's send sequence; PROTOCOL.md "Reliable transactions").
-  /// Stamped by Send, preserved by Forward, used for duplicate suppression
-  /// and retransmission-staleness checks when V-fault is active.
+  /// Stamped by Send, preserved by Forward.  Under an installed FaultPlan
+  /// it drives the staleness check and late-reply drops, and (lossy plans
+  /// only) duplicate suppression.
   std::uint32_t txn_seq = 0;
   /// The pid this envelope was delivered to (stamped on arrival).  Lets a
   /// worker that forwards or replies find the receptionist's transaction
@@ -136,6 +137,8 @@ struct EnvNode {
 /// At-most-once bookkeeping for one client's current transaction at one
 /// server (PROTOCOL.md "Reliable transactions").  A server record keeps one
 /// slot per client pid; a new transaction id from that client recycles it.
+/// Loss masking only: a lossless plan keeps no slots (see
+/// ProcessRecord::arrived_seq).
 struct TxnState {
   enum class Phase : std::uint8_t {
     kPending,    ///< request delivered, no reply or forward yet
@@ -195,6 +198,11 @@ struct ProcessRecord {
                              ///< forward delivery); used by crash sweeps
   std::uint64_t send_seq = 0;  ///< distinguishes sends for timeout events
   Segments exposed;            ///< segments of the in-flight send
+  /// Transaction id of this process's request that most recently landed
+  /// at a server (0 = none yet).  Under a lossless FaultPlan it is the
+  /// whole transaction slot: replies are stamped with it, so a late reply
+  /// to a superseded transaction is dropped on arrival.
+  std::uint32_t arrived_seq = 0;
 
   /// Observability bookkeeping for the in-flight send: when it started
   /// (SLO latency, watchdog overdue checks) and its opcode (SLO bucket).
@@ -202,8 +210,8 @@ struct ProcessRecord {
   std::uint16_t last_send_code = 0;
 
   /// Server-side duplicate suppression: one transaction slot per client
-  /// pid (see TxnState).  Only populated while a FaultPlan is installed.
-  /// Flat map: probed on every delivery under a fault plan, never erased
+  /// pid (see TxnState).  Only populated under a lossy FaultPlan.
+  /// Flat map: probed on every delivery under a lossy plan, never erased
   /// per-entry (slots are overwritten per client, cleared on crash).
   FlatMap<std::uint32_t, TxnState> dup_table;
 
@@ -565,15 +573,17 @@ class Domain {
     return wd_trips_;
   }
 
-  /// Arm the V-fault machinery: schedule the plan's host lifecycle events,
-  /// apply its link faults to every remote packet, and turn on reliable
-  /// Send transactions (retransmission + duplicate suppression) governed
-  /// by its RetryPolicy.  The plan must outlive the run; its FaultStats
-  /// are mirrored into the metrics registry as "fault/..." entries.
+  /// Arm the V-fault machinery: schedule the plan's host lifecycle events
+  /// and turn on the transaction layer (staleness checks, late-reply
+  /// drops).  Decides once, from FaultPlan::lossless(), whether to arm
+  /// loss masking too: link verdicts on every remote packet, retransmission
+  /// under the RetryPolicy and duplicate suppression.  Freezes the plan's
+  /// links.  The plan must outlive the run; its FaultStats are mirrored
+  /// into the metrics registry as "fault/..." entries.
   void install_faults(fault::FaultPlan& plan);
-  [[nodiscard]] bool fault_active() const noexcept {
-    return fault_plan_ != nullptr;
-  }
+  /// True when the installed plan's links can fault, so Sends are covered
+  /// by retransmission and duplicate suppression.
+  [[nodiscard]] bool loss_masking() const noexcept { return loss_masking_; }
   [[nodiscard]] fault::FaultPlan* fault_plan() noexcept { return fault_plan_; }
 
   /// One row of the event-loop profile: host CPU attributed to a fiber.
@@ -640,8 +650,9 @@ class Domain {
                      const BindingHint& origin = {});
 
   /// Synthesize a failure reply (kNoReply etc.) to a blocked sender, at a
-  /// hop's delay.
-  void synth_reply(ProcessId to, ReplyCode code);
+  /// hop's delay.  `answered_seq` is the transaction it answers: the reply
+  /// is dropped if the sender has moved past it by then.
+  void synth_reply(ProcessId to, ReplyCode code, std::uint32_t answered_seq);
 
   /// A request packet landing at its destination host (after the hop delay
   /// and any fault verdicts).  Runs lint, duplicate suppression and the
@@ -663,6 +674,10 @@ class Domain {
   void arrive_reply(ProcessId to, const msg::Message& reply,
                     const BindingHint& hint, const BindingHint& origin,
                     std::uint32_t answered_seq);
+  /// True (and counted) when a reply stamped `answered_seq` answers a
+  /// transaction `rec` has moved past.  0 = untracked, never stale.
+  bool stale_reply(const detail::ProcessRecord* rec,
+                   std::uint32_t answered_seq);
 
   void complete_reply(ProcessId to, const msg::Message& reply,
                       const BindingHint& hint = {},
@@ -728,10 +743,12 @@ class Domain {
   bool wd_armed_ = false;
   std::uint64_t wd_trips_ = 0;
   fault::FaultPlan* fault_plan_ = nullptr;
+  /// The installed plan can drop, duplicate or reorder (install_faults).
+  bool loss_masking_ = false;
   /// client pid -> server record currently holding its transaction slot
   /// (the last server a request of that client was delivered to), so the
   /// reply path can find the slot without plumbing envelopes through
-  /// server code.
+  /// server code.  Loss masking only.
   FlatMap<std::uint32_t, ProcessId> txn_holder_;
   bool fault_metrics_registered_ = false;
 };

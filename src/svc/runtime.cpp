@@ -259,6 +259,13 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_via_rebind(std::string_view name,
   co_return decode_open_reply(self_, reply);
 }
 
+void Rt::count_cache_event(obs::Counter*& slot, std::string_view name) {
+  if (slot == nullptr) {
+    slot = &self_.domain().metrics().counter("namecache", name);
+  }
+  slot->inc();
+}
+
 V_BORROWS_SPAN
 sim::Co<Result<Rt::OpenedFile>> Rt::open_detailed(std::string_view name,
                                                   std::uint16_t mode) {
@@ -266,7 +273,7 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_detailed(std::string_view name,
     const SplitName split = split_dir_leaf(name);
     if (!split.dir.empty()) {
       if (const auto hit = cache_->find(split.dir)) {
-        self_.domain().metrics().counter("namecache", "hits").inc();
+        count_cache_event(m_cache_hits_, "hits");
         auto direct = co_await open_via_binding(name, mode, *hit, split);
         const ReplyCode code = direct.ok() ? ReplyCode::kOk : direct.code();
         if (code != ReplyCode::kStaleContext &&
@@ -277,13 +284,13 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_detailed(std::string_view name,
         }
         if (code == ReplyCode::kStaleContext) {
           cache_->note_stale();
-          self_.domain().metrics().counter("namecache", "stale").inc();
+          count_cache_event(m_cache_stale_, "stale");
         }
         cache_->erase(split.dir);
         cache_->note_fallback();
-        self_.domain().metrics().counter("namecache", "fallbacks").inc();
+        count_cache_event(m_cache_fallbacks_, "fallbacks");
       } else {
-        self_.domain().metrics().counter("namecache", "misses").inc();
+        count_cache_event(m_cache_misses_, "misses");
       }
     }
   }

@@ -243,10 +243,19 @@ class Rt {
   [[nodiscard]] sim::Co<Result<OpenedFile>> open_via_rebind(
       std::string_view name, std::uint16_t mode, ReplyCode original);
 
+  /// Bump the "namecache" registry counter `name` through handle `slot`,
+  /// resolving it on first use: the entry appears at the same moment the
+  /// string-keyed probe created it, later bumps are one pointer increment.
+  void count_cache_event(obs::Counter*& slot, std::string_view name);
+
   ipc::Process self_;
   NameEnv env_;
   NameCache* cache_ = nullptr;
   RecoveryPolicy recovery_;
+  obs::Counter* m_cache_hits_ = nullptr;
+  obs::Counter* m_cache_misses_ = nullptr;
+  obs::Counter* m_cache_stale_ = nullptr;
+  obs::Counter* m_cache_fallbacks_ = nullptr;
 };
 
 }  // namespace v::svc

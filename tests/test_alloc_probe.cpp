@@ -7,25 +7,31 @@
 #include <gtest/gtest.h>
 
 #include "chk/alloc_probe.hpp"
+#include "fault/fault.hpp"
 #include "ipc/kernel.hpp"
 #include "msg/message.hpp"
 #include "sim/frame_pool.hpp"
+#include "sim/time.hpp"
 
 namespace v {
 namespace {
 
 using sim::Co;
 
-TEST(AllocProbe, WarmPingPongTransactionsAllocateNothing) {
-  if (!chk::alloc_probe_active()) {
-    GTEST_SKIP() << "probe inactive (sanitizer build owns the allocator)";
-  }
-#if !V_FRAME_POOL_ENABLED
-  GTEST_SKIP() << "frame pool disabled: coroutine frames hit the heap";
-#else
+#if V_FRAME_POOL_ENABLED
+/// Warm ping-pong between two hosts; asserts the measured window of
+/// Send/Receive/Reply transactions makes zero heap allocations.  `plan`
+/// (optional) is installed first.
+void expect_warm_transactions_allocate_nothing(fault::FaultPlan* plan) {
   ipc::Domain dom;
   auto& ws = dom.add_host("ws1");
   auto& srv = dom.add_host("srv1");
+  if (plan != nullptr) {
+    auto& spare = dom.add_host("spare");
+    // Crash-only: a lifecycle event far past the run, no link faults.
+    plan->crash_at(3600 * sim::kSecond, spare.id());
+    dom.install_faults(*plan);
+  }
   const auto echo_pid = srv.spawn("echo", [](ipc::Process self) -> Co<void> {
     for (;;) {
       auto env = co_await self.receive();
@@ -57,6 +63,34 @@ TEST(AllocProbe, WarmPingPongTransactionsAllocateNothing) {
   dom.run();
   EXPECT_EQ(dom.process_failures(), 0u) << dom.first_failure();
   EXPECT_TRUE(done) << "pinger parked forever";
+}
+#endif
+
+TEST(AllocProbe, WarmPingPongTransactionsAllocateNothing) {
+  if (!chk::alloc_probe_active()) {
+    GTEST_SKIP() << "probe inactive (sanitizer build owns the allocator)";
+  }
+#if !V_FRAME_POOL_ENABLED
+  GTEST_SKIP() << "frame pool disabled: coroutine frames hit the heap";
+#else
+  expect_warm_transactions_allocate_nothing(nullptr);
+#endif
+}
+
+// A plan whose links cannot fault keeps the transaction layer (ids,
+// staleness, late-reply drops) but arms no loss masking: no retransmit
+// timer per Send, no duplicate-suppression slot, so still zero.
+TEST(AllocProbe, WarmTransactionsUnderCrashOnlyPlanAllocateNothing) {
+  if (!chk::alloc_probe_active()) {
+    GTEST_SKIP() << "probe inactive (sanitizer build owns the allocator)";
+  }
+#if !V_FRAME_POOL_ENABLED
+  GTEST_SKIP() << "frame pool disabled: coroutine frames hit the heap";
+#else
+  fault::FaultPlan plan;
+  expect_warm_transactions_allocate_nothing(&plan);
+  EXPECT_EQ(plan.stats().retransmits, 0u);
+  EXPECT_EQ(plan.stats().crashes, 1u);
 #endif
 }
 

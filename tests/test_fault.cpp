@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "fault/fault.hpp"
@@ -63,6 +64,34 @@ TEST(FaultPlan, FaultDelaysAreNeverNegative) {
     EXPECT_GE(d.extra_delay, 0);
     EXPECT_GE(d.dup_delay, 0);
   }
+}
+
+TEST(FaultPlan, LosslessMeansNoLinkCanFault) {
+  fault::FaultPlan plan(2);
+  plan.crash_at(5 * kMillisecond, 2);
+  plan.set_retry(fault::RetryPolicy{});
+  EXPECT_TRUE(plan.lossless());  // schedules and retry policy don't count
+  fault::LinkFaults late;
+  late.reorder = 0.01;
+  plan.set_link(3, 4, late);  // one override that can reorder is enough
+  EXPECT_FALSE(plan.lossless());
+}
+
+TEST(FaultPlan, LinksFreezeAtInstall) {
+  // A Send under a lossless plan arms no retransmit timer, so a link that
+  // turned lossy afterwards could drop its packet and park the client
+  // forever: links are configured before install or not at all.
+  ipc::Domain dom;
+  dom.add_host("ws1");
+  fault::FaultPlan plan(3);
+  fault::LinkFaults lossy;
+  lossy.drop = 0.5;
+  plan.set_link(1, 1, fault::LinkFaults{});  // fine before install
+  dom.install_faults(plan);
+  EXPECT_THROW(plan.set_link(1, 2, lossy), std::logic_error);
+  EXPECT_THROW(plan.set_default_link(lossy), std::logic_error);
+  EXPECT_TRUE(plan.lossless());
+  EXPECT_FALSE(dom.loss_masking());
 }
 
 TEST(FaultPlan, PerLinkOverridesBeatTheDefault) {
@@ -219,6 +248,165 @@ TEST(FaultIpc, PausedHostDelaysButNeverLoses) {
   EXPECT_GE(replied_at, 60 * kMillisecond);
   EXPECT_EQ(dom.lint().counters().duplicate_replies, 0u)
       << dom.lint().first_dump();
+}
+
+TEST(FaultIpc, PausedHostSuppressesRetransmitsUnderLossyPlan) {
+  // PausedHostDelaysButNeverLoses with loss masking armed: a lossy link
+  // elsewhere makes the plan lossy, so the client retransmits into the
+  // pause, and on resume the copies are suppressed, not re-executed.
+  ipc::Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  auto& spare = dom.add_host("spare");
+  const ipc::ProcessId server = ws2.spawn("server", counting_server);
+
+  fault::FaultPlan plan(0xFA004);
+  fault::LinkFaults dead_wire;
+  dead_wire.drop = 1.0;
+  plan.set_link(ws1.id(), spare.id(), dead_wire);
+  plan.pause_at(5 * kMillisecond, ws2.id());
+  plan.resume_at(60 * kMillisecond, ws2.id());
+  dom.install_faults(plan);
+  ASSERT_TRUE(dom.loss_masking());
+
+  sim::SimTime replied_at = -1;
+  test::run_client(dom, ws1, [&, server](ipc::Process self) -> Co<void> {
+    co_await self.delay(10 * kMillisecond);  // send INTO the pause window
+    const auto reply = co_await self.send(msg::Message{}, server);
+    replied_at = self.now();
+    EXPECT_EQ(reply.reply_code(), ReplyCode::kOk);
+    EXPECT_EQ(reply.u32(4), 1u);  // retransmits into the pause: still once
+  });
+  EXPECT_GE(replied_at, 60 * kMillisecond);
+  EXPECT_GT(plan.stats().retransmits, 0u);
+  EXPECT_GT(plan.stats().dup_requests_suppressed, 0u);
+  EXPECT_EQ(plan.stats().budget_exhausted, 0u);
+  EXPECT_EQ(dom.lint().counters().duplicate_replies, 0u)
+      << dom.lint().first_dump();
+}
+
+// --- lossless plans: the transaction layer without loss masking -------------
+
+TEST(FaultIpc, CrashOnlyPlanNeverTimesOutALiveServer) {
+  // The default retry budget gives up after 10+20+40+80*4 = 390 ms.  Under
+  // a plan whose links cannot fault there is no loss to mask: no timer is
+  // armed, no verdict drawn, and a server that answers after 500 ms is
+  // waited for, exactly as with no plan installed.
+  ipc::Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  auto& spare = dom.add_host("spare");
+  const ipc::ProcessId server =
+      ws2.spawn("slow", [](ipc::Process self) -> Co<void> {
+        for (;;) {
+          auto env = co_await self.receive();
+          co_await self.delay(500 * kMillisecond);
+          self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+        }
+      });
+
+  fault::FaultPlan plan(0xFA008);
+  plan.crash_at(10 * sim::kSecond, spare.id());
+  dom.install_faults(plan);
+  EXPECT_FALSE(dom.loss_masking());
+
+  sim::SimDuration elapsed = -1;
+  test::run_client(dom, ws1, [&, server](ipc::Process self) -> Co<void> {
+    const auto t0 = self.now();
+    const auto reply = co_await self.send(msg::Message{}, server);
+    elapsed = self.now() - t0;
+    EXPECT_EQ(reply.reply_code(), ReplyCode::kOk);
+  });
+  EXPECT_GT(elapsed, 500 * kMillisecond);
+  EXPECT_EQ(plan.stats().retransmits, 0u);
+  EXPECT_EQ(plan.stats().budget_exhausted, 0u);
+  EXPECT_EQ(plan.stats().packets_seen, 0u);  // no verdict was drawn
+  EXPECT_EQ(plan.stats().crashes, 1u);
+}
+
+TEST(FaultIpc, LateGroupReplyDroppedUnderCrashOnlyPlan) {
+  // A group member answers after the group timeout, while the client's
+  // next Send is still crossing the wire to another server.  The late
+  // reply answers the superseded group transaction: it is dropped on
+  // arrival and the next Send completes with its own server's reply.
+  ipc::Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  auto& ws3 = dom.add_host("ws3");
+  auto& spare = dom.add_host("spare");
+  constexpr ipc::GroupId kGroup = 42;
+  constexpr std::uint32_t kLateMarker = 0xBADu;
+  const auto& params = dom.params();
+  // Land the late reply midway through the next request's hop.
+  const sim::SimDuration late =
+      params.group_timeout - 2 * params.remote_hop + params.remote_hop / 2;
+  ws2.spawn("member", [late](ipc::Process self) -> Co<void> {
+    self.join_group(kGroup);
+    for (;;) {
+      auto env = co_await self.receive();
+      co_await self.delay(late);
+      msg::Message reply = msg::make_reply(ReplyCode::kOk);
+      reply.set_u32(4, kLateMarker);
+      self.reply(reply, env.sender);
+    }
+  });
+  const ipc::ProcessId server = ws3.spawn("server", counting_server);
+
+  fault::FaultPlan plan(0xFA009);
+  plan.crash_at(10 * sim::kSecond, spare.id());
+  dom.install_faults(plan);
+
+  test::run_client(dom, ws1, [&, server](ipc::Process self) -> Co<void> {
+    co_await self.delay(kMillisecond);  // let the member join
+    const auto timed_out = co_await self.send_to_group(msg::Message{}, kGroup);
+    EXPECT_EQ(timed_out.reply_code(), ReplyCode::kTimeout);
+    const auto reply = co_await self.send(msg::Message{}, server);
+    EXPECT_EQ(reply.reply_code(), ReplyCode::kOk);
+    EXPECT_EQ(reply.u32(4), 1u);  // the server's answer, not the late one
+  });
+  EXPECT_EQ(plan.stats().stale_replies_dropped, 1u);
+  EXPECT_EQ(plan.stats().retransmits, 0u);
+}
+
+TEST(FaultIpc, StaleCopyOnDeadHostFailsNoNewerSend) {
+  // Regression: a retransmitted request copy that lands on a crashed host
+  // draws a synthesized kNoReply.  It answers the OLD transaction, so it
+  // must be dropped, not fail whatever the sender is awaiting now.
+  ipc::Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  auto& ws3 = dom.add_host("ws3");
+  const ipc::ProcessId fast = ws2.spawn("fast", counting_server);
+  const ipc::ProcessId slow =
+      ws3.spawn("slow", [](ipc::Process self) -> Co<void> {
+        for (;;) {
+          auto env = co_await self.receive();
+          co_await self.delay(50 * kMillisecond);
+          self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+        }
+      });
+
+  // Every client->fast packet is held back 20 ms, longer than the 10 ms
+  // retransmit timeout: the retransmitted copy trails the original by the
+  // timeout and lands after fast's reply and after its host has crashed.
+  fault::FaultPlan plan(0xFA00A);
+  fault::LinkFaults held_back;
+  held_back.reorder = 1.0;
+  held_back.reorder_delay = 20 * kMillisecond;
+  plan.set_link(ws1.id(), ws2.id(), held_back);
+  plan.crash_at(25 * kMillisecond, ws2.id());
+  dom.install_faults(plan);
+
+  test::run_client(dom, ws1, [&, fast, slow](ipc::Process self) -> Co<void> {
+    const auto first = co_await self.send(msg::Message{}, fast);
+    EXPECT_EQ(first.reply_code(), ReplyCode::kOk);
+    EXPECT_LT(self.now(), 25 * kMillisecond);  // answered before the crash
+    const auto second = co_await self.send(msg::Message{}, slow);
+    EXPECT_EQ(second.reply_code(), ReplyCode::kOk);
+  });
+  EXPECT_GE(plan.stats().retransmits, 1u);
+  EXPECT_EQ(plan.stats().crashes, 1u);
+  EXPECT_EQ(plan.stats().stale_replies_dropped, 1u);  // the synthesized one
 }
 
 TEST(FaultIpc, ScheduledCrashAndRestartFireOnce) {
