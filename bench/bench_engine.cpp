@@ -122,7 +122,7 @@ WorkloadResult run_ping_pong() {
       srv.spawn("echo", [](ipc::Process self) -> Co<void> {
         for (;;) {
           auto env = co_await self.receive();
-          self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+          self.reply(env, msg::make_reply(ReplyCode::kOk));
         }
       });
   bool done = false;

@@ -28,7 +28,7 @@ sim::Co<void> group_member(ipc::Process self) {
   self.join_group(kStorageGroup);
   for (;;) {
     auto env = co_await self.receive();
-    self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+    self.reply(env, msg::make_reply(ReplyCode::kOk));
   }
 }
 

@@ -14,7 +14,7 @@ namespace {
 sim::Co<void> echo(ipc::Process self) {
   for (;;) {
     auto env = co_await self.receive();
-    self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+    self.reply(env, msg::make_reply(ReplyCode::kOk));
   }
 }
 

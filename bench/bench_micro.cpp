@@ -41,7 +41,7 @@ void BM_IpcTransactionRoundTrips(benchmark::State& state) {
         ws2.spawn("echo", [](ipc::Process self) -> sim::Co<void> {
           for (;;) {
             auto env = co_await self.receive();
-            self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+            self.reply(env, msg::make_reply(ReplyCode::kOk));
           }
         });
     ws1.spawn("client", [server](ipc::Process self) -> sim::Co<void> {

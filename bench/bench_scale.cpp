@@ -83,11 +83,6 @@ DayResult run_day(const std::string& label, const CellParams& params,
             .team = {.workers = 4, .queue_cap = 256}});
   fabric.install(forest.install(fs_ptrs, fs_pids));
 
-  // The plan is installed even on churn-free days: v::fault's transaction
-  // tracking drops any reply that outlives its send, and a map fetch CAN
-  // outlive its 100 ms group timeout when the flash crowd queues the
-  // designated responder — the late reply must die, not complete the
-  // client's next send.
   fault::FaultPlan plan(0xE14);
   if (params.churn) {
     // Kill one mid-map shard shortly after the churn phase opens; bring it
@@ -108,8 +103,8 @@ DayResult run_day(const std::string& label, const CellParams& params,
     plan.restart_at(churn_start + (churn_len * 2) / 3,
                     fabric.host(victim).id(),
                     [&fabric, victim] { fabric.on_restart(victim); });
+    dom.install_faults(plan);
   }
-  dom.install_faults(plan);
 
   wload::Driver::Config cfg;
   cfg.hosts = params.hosts;

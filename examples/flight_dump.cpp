@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
       fs1.spawn("echo", [](ipc::Process self) -> sim::Co<void> {
         for (;;) {
           auto env = co_await self.receive();
-          self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+          self.reply(env, msg::make_reply(ReplyCode::kOk));
         }
       });
 

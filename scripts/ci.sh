@@ -6,10 +6,11 @@
 #   scripts/ci.sh asan     # Debug + -fsanitize=address,undefined + ctest
 #   scripts/ci.sh sanitize # UBSan run of test_engine, test_cached_open, the
 #                          # flat-table suites (test_file_server, test_chk,
-#                          # test_name_cache) and the transaction-layer
-#                          # suites (test_fault, test_crash_replies), plus a
-#                          # TSan build (build-only: the sim is
-#                          # single-threaded, TSan proves it still links)
+#                          # test_name_cache) and the transaction-rule
+#                          # suites (test_ipc, test_ipc_property, test_fault,
+#                          # test_crash_replies), plus a TSan build
+#                          # (build-only: the sim is single-threaded, TSan
+#                          # proves it still links)
 #   scripts/ci.sh lint     # clang-tidy over src/ (skips if not installed;
 #                          # skips unchanged files via a content-hash cache)
 #   scripts/ci.sh slint    # V-lint static analysis (tools/vlint): tree must
@@ -53,11 +54,13 @@ run_sanitize() {
   echo "==> sanitize: ubsan configure/build"
   # test_file_server, test_chk and test_name_cache cover the flat per-request
   # tables (dense i-node vector, lint ledger, cache dependent counts);
-  # test_fault and test_crash_replies cover the transaction layer on both
-  # sides of its lossy/lossless split (DESIGN.md 4h).
+  # test_ipc and test_ipc_property cover the kernel's transaction rule,
+  # which runs on every domain's IPC path, and test_fault and
+  # test_crash_replies cover it under crash-only and lossy plans
+  # (DESIGN.md 4h).
   local suites=(
     test_engine test_cached_open test_file_server test_chk test_name_cache
-    test_fault test_crash_replies
+    test_ipc test_ipc_property test_fault test_crash_replies
   )
   cmake --preset ubsan
   cmake --build --preset ubsan -j "$(nproc)" --target "${suites[@]}"
@@ -207,7 +210,8 @@ run_scale() {
   python3 scripts/check_bench_json.py /tmp/scale_smoke1.json
   # The full day must regenerate the checked-in report byte for byte.  This
   # pins the churn cell, which runs under a crash-only FaultPlan, so any
-  # change to the transaction layer that moves a simulated result shows.
+  # change to the kernel's transaction rule that moves a simulated result
+  # shows.
   ./build/bench/bench_scale --json /tmp/scale_full.json >/dev/null
   diff BENCH_scale.json /tmp/scale_full.json
   echo "scale OK"

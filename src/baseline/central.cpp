@@ -22,17 +22,17 @@ sim::Co<void> CentralNameServer::run(ipc::Process self) {
     if (code == kCountNames) {
       msg::Message reply = msg::make_reply(ReplyCode::kOk);
       reply.set_u32(kOffCount, static_cast<std::uint32_t>(table_.size()));
-      self.reply(reply, env.sender);
+      self.reply(env, reply);
       continue;
     }
     if (code != kRegisterName && code != kLookupName &&
         code != kUnregisterName) {
-      self.reply(msg::make_reply(ReplyCode::kIllegalRequest), env.sender);
+      self.reply(env, msg::make_reply(ReplyCode::kIllegalRequest));
       continue;
     }
     const std::uint16_t name_len = env.request.u16(kOffNameLen);
     if (name_len == 0 || name_len > naming::kMaxNameLength) {
-      self.reply(msg::make_reply(ReplyCode::kBadArgs), env.sender);
+      self.reply(env, msg::make_reply(ReplyCode::kBadArgs));
       continue;
     }
     std::string name(name_len, '\0');
@@ -84,7 +84,7 @@ sim::Co<void> CentralNameServer::run(ipc::Process self) {
         reply = msg::make_reply(ReplyCode::kIllegalRequest);
         break;
     }
-    self.reply(reply, env.sender);
+    self.reply(env, reply);
   }
 }
 

@@ -16,14 +16,14 @@
 // the rates (runs differing only in probabilities stay comparable
 // event-for-event).
 //
-// The plan has two halves, and the kernel arms only what it needs:
-//   - every installed plan: transaction ids, the staleness check, late-reply
-//     drops and the host lifecycle schedule;
-//   - a plan whose links can fault (!lossless()): loss masking, i.e. the
-//     per-packet verdicts, retransmission under the RetryPolicy and the
-//     server-side duplicate suppression.
-// A lossless plan (crash / pause schedules only) draws no variates at all:
-// the kernel never asks it for a verdict.
+// A plan only adds faults.  The transaction rule (a reply names the request
+// it answers; a copy, transfer or reply of a superseded transaction is
+// dropped) is the kernel's own and holds in every domain (PROTOCOL.md §12).
+// Every installed plan adds its host lifecycle schedule; a plan whose links
+// can fault (!lossless()) also arms loss masking, i.e. the per-packet
+// verdicts, retransmission under the RetryPolicy and the server-side
+// duplicate suppression.  A lossless plan (crash / pause schedules only)
+// draws no variates at all: the kernel never asks it for a verdict.
 // Link faults are frozen when the plan is installed (set_link and
 // set_default_link then fail a V_CHECK): a Send issued under a lossless plan
 // arms no retransmit timer, so a link that turned lossy later could park
@@ -87,10 +87,10 @@ struct PacketDecision {
 };
 
 /// Counters for everything the plan did and everything the kernel's
-/// reliability machinery did in response.  The kernel owns the increments
-/// of the transaction-layer fields.  Under a lossless plan the packet and
-/// loss-masking counters stay zero: no verdict is drawn, nothing is
-/// retransmitted, suppressed or replayed.
+/// reliability machinery did in response, counted only while the plan is
+/// installed.  The kernel owns the increments of the transaction fields.
+/// Under a lossless plan the packet and loss-masking counters stay zero: no
+/// verdict is drawn, nothing is retransmitted, suppressed or replayed.
 struct FaultStats {
   std::uint64_t packets_seen = 0;
   std::uint64_t drops = 0;
@@ -100,7 +100,7 @@ struct FaultStats {
   std::uint64_t restarts = 0;
   std::uint64_t pauses = 0;
   std::uint64_t resumes = 0;
-  // Transaction layer (incremented by ipc::Domain):
+  // Transactions (incremented by ipc::Domain):
   std::uint64_t retransmits = 0;             ///< client copies re-sent
   std::uint64_t budget_exhausted = 0;        ///< sends that gave up (kNoReply)
   std::uint64_t dup_requests_suppressed = 0; ///< dup while still pending

@@ -85,9 +85,7 @@ sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
   // hop, whose duplicate table re-drives the stored forward.  A lossless
   // plan loses nothing to mask: no timer, and (as with no plan) a live
   // server is never timed out; kNoReply comes from crash detection only.
-  if (domain_->loss_masking_) {
-    domain_->arm_retransmit(env, dest, rec.send_seq);
-  }
+  if (domain_->loss_masking_) domain_->arm_retransmit(env, dest);
   domain_->deliver(host_id(), std::move(env), dest);
   co_await sim::ParkAwaiter(rec.reply_waker, rec.fiber_state);
   co_return rec.reply;
@@ -142,17 +140,9 @@ sim::Co<msg::Message> Process::send_to_group(msg::Message request,
     }
   }
   // First reply wins; this timeout fires only if nothing answered this send.
-  Domain* dom = domain_;
-  const ProcessId me = pid_;
-  domain_->loop().schedule_after(
-      delivered == 0 ? params().getpid_local : params().group_timeout,
-      [dom, me, seq] {
-        auto* r = dom->find(me);
-        if (r != nullptr && r->alive && r->awaiting_reply &&
-            r->send_seq == seq) {
-          dom->complete_reply(me, msg::make_reply(ReplyCode::kTimeout));
-        }
-      });
+  domain_->schedule_timeout(
+      pid_, proto.txn_seq,
+      delivered == 0 ? params().getpid_local : params().group_timeout);
   co_await sim::ParkAwaiter(rec.reply_waker, rec.fiber_state);
   co_return rec.reply;
 }
@@ -173,17 +163,17 @@ sim::Co<Envelope> Process::receive() {
 }
 
 V_HOT_PATH
-void Process::reply(const msg::Message& reply_msg, ProcessId to) {
+void Process::reply(const Envelope& env, const msg::Message& reply_msg) {
   ++domain_->stats_.replies_sent;
-  domain_->deliver_reply(host_id(), reply_msg, to, pid_);
+  domain_->deliver_reply(host_id(), reply_msg, env, pid_, {}, {});
 }
 
 V_HOT_PATH
-void Process::reply_with_hint(const msg::Message& reply_msg, ProcessId to,
-                              const BindingHint& hint,
-                              const BindingHint& origin) {
+void Process::reply_with_hint(const Envelope& env,
+                              const msg::Message& reply_msg,
+                              const BindingHint& hint) {
   ++domain_->stats_.replies_sent;
-  domain_->deliver_reply(host_id(), reply_msg, to, pid_, hint, origin);
+  domain_->deliver_reply(host_id(), reply_msg, env, pid_, hint, env.origin);
 }
 
 BindingHint Process::last_binding_hint() const { return record().reply_hint; }
@@ -239,41 +229,25 @@ void Process::forward_to_group(const Envelope& env, GroupId group) {
       ++delivered;
     }
   }
-  // Guard the blocked sender against a silent group: if its CURRENT send
-  // is still outstanding after the timeout, answer kTimeout.  The send
-  // sequence number distinguishes this send from any later one.
-  Domain* dom = domain_;
-  const ProcessId sender = env.sender;
-  auto* sender_rec = dom->find(sender);
-  if (sender_rec == nullptr) return;
-  const std::uint64_t seq = sender_rec->send_seq;
-  dom->loop().schedule_after(
-      delivered == 0 ? params().local_hop : params().group_timeout,
-      [dom, sender, seq] {
-        auto* rec = dom->find(sender);
-        if (rec != nullptr && rec->alive && rec->awaiting_reply &&
-            rec->send_seq == seq) {
-          dom->complete_reply(sender, msg::make_reply(ReplyCode::kTimeout));
-        }
-      });
+  // Guard the blocked sender against a silent group: if the forwarded
+  // transaction is still outstanding after the timeout, answer kTimeout.
+  domain_->schedule_timeout(
+      env.sender, env.txn_seq,
+      delivered == 0 ? params().local_hop : params().group_timeout);
 }
 
 V_BORROWS_SPAN
-sim::Co<Result<std::size_t>> Process::move_from(ProcessId src,
+sim::Co<Result<std::size_t>> Process::move_from(const Envelope& env,
                                                 std::span<std::byte> dest,
-                                                std::size_t offset,
-                                                const Envelope* txn) {
+                                                std::size_t offset) {
   ++domain_->stats_.moves;
   domain_->stats_.bytes_moved += dest.size();
-  const bool local = src.local_to(host_id());
+  const bool local = env.sender.local_to(host_id());
   co_await delay(params().move_from_cost(dest.size(), local));
-  auto* srec = domain_->find(src);  // validate after the transfer time
-  if (srec == nullptr || !srec->alive || !srec->awaiting_reply) {
+  auto* srec = domain_->find(env.sender);  // validate after the transfer time
+  if (!Domain::current_txn(srec, env.txn_seq) || !srec->alive ||
+      !srec->awaiting_reply) {
     co_return ReplyCode::kNoReply;
-  }
-  if (txn != nullptr &&
-      static_cast<std::uint32_t>(srec->send_seq) != txn->txn_seq) {
-    co_return ReplyCode::kNoReply;  // sender moved past this transaction
   }
   // The sender's logical read segment is the pair (read, read2) addressed
   // as one contiguous range; stitch the copy across the seam.
@@ -304,11 +278,9 @@ sim::Co<Result<std::string_view>> Process::fetch_name(
   const bool local = env.sender.local_to(host_id());
   co_await delay(params().move_from_cost(name_len, local));
   auto* srec = domain_->find(env.sender);  // validate after the transfer time
-  if (srec == nullptr || !srec->alive || !srec->awaiting_reply) {
+  if (!Domain::current_txn(srec, env.txn_seq) || !srec->alive ||
+      !srec->awaiting_reply) {
     co_return ReplyCode::kNoReply;
-  }
-  if (static_cast<std::uint32_t>(srec->send_seq) != env.txn_seq) {
-    co_return ReplyCode::kNoReply;  // sender moved past this transaction
   }
   if (env.name.size() >= name_len) {
     // A server earlier in the forward chain already fetched (and a
@@ -339,21 +311,17 @@ sim::Co<Result<std::string_view>> Process::fetch_name(
 }
 
 V_BORROWS_SPAN
-sim::Co<Result<std::size_t>> Process::move_to(ProcessId dest,
+sim::Co<Result<std::size_t>> Process::move_to(const Envelope& env,
                                               std::span<const std::byte> src,
-                                              std::size_t offset,
-                                              const Envelope* txn) {
+                                              std::size_t offset) {
   ++domain_->stats_.moves;
   domain_->stats_.bytes_moved += src.size();
-  const bool local = dest.local_to(host_id());
+  const bool local = env.sender.local_to(host_id());
   co_await delay(params().move_to_cost(src.size(), local));
-  auto* drec = domain_->find(dest);
-  if (drec == nullptr || !drec->alive || !drec->awaiting_reply) {
+  auto* drec = domain_->find(env.sender);
+  if (!Domain::current_txn(drec, env.txn_seq) || !drec->alive ||
+      !drec->awaiting_reply) {
     co_return ReplyCode::kNoReply;
-  }
-  if (txn != nullptr &&
-      static_cast<std::uint32_t>(drec->send_seq) != txn->txn_seq) {
-    co_return ReplyCode::kNoReply;  // sender moved past this transaction
   }
   const auto seg = drec->exposed.write;
   if (offset + src.size() > seg.size()) co_return ReplyCode::kBadArgs;
@@ -773,30 +741,22 @@ void Domain::arrive_slot(std::uint32_t slot, ProcessId dest,
     env_release(slot);
     return;
   }
-  if (fault_plan_ != nullptr) {
-    // Transaction staleness: if the sender has moved past this transaction
-    // (answered by a retransmit, or gave up), the copy answers nothing —
-    // processing it could only produce a reply no one is waiting for.
-    auto* sender = find(env.sender);
-    if (sender != nullptr &&
-        (!sender->awaiting_reply ||
-         static_cast<std::uint32_t>(sender->send_seq) != env.txn_seq)) {
-      env_release(slot);
-      return;
-    }
-    if (loss_masking_) {
-      // At-most-once: a duplicate of a transaction this server has already
-      // seen is suppressed, re-driven or replayed — never re-executed.
-      // vlint: allow(hot-path-alloc): only while the plan's links can fault
-      if (suppress_duplicate(*rec, env)) {
-        env_release(slot);
-        return;
-      }
-    } else if (sender != nullptr) {
-      // Lossless: no duplicates exist, so the slot is just the id that
-      // the reply will answer (late-reply drops, arrive_reply).
-      sender->arrived_seq = env.txn_seq;
-    }
+  // The transaction rule: if the sender has moved past this transaction
+  // (answered by a retransmit, timed out of a group send, or gave up), the
+  // copy answers nothing — processing it could only produce a reply no one
+  // is waiting for.
+  auto* sender = find(env.sender);
+  if (!current_txn(sender, env.txn_seq) || !sender->awaiting_reply) {
+    env_release(slot);
+    return;
+  }
+  // At-most-once under loss masking: a duplicate of a transaction this
+  // server has already seen is suppressed, re-driven or replayed — never
+  // re-executed.
+  // vlint: allow(hot-path-alloc): behind loss_masking_, set only by a plan whose links can fault
+  if (loss_masking_ && suppress_duplicate(*rec, env)) {
+    env_release(slot);
+    return;
   }
   // Protocol lint (V-check layer 2): validate the header invariants
   // before the server ever sees the message.  Malformed requests are
@@ -812,9 +772,7 @@ void Domain::arrive_slot(std::uint32_t slot, ProcessId dest,
   }
   // Track where the blocked sender's request currently lives so crash
   // sweeps can find it (updated again on each forward delivery).
-  if (auto* sender = find(env.sender); sender != nullptr) {
-    sender->blocked_on = dest;
-  }
+  sender->blocked_on = dest;
   // Queue-wait measurement starts the moment the message lands in the
   // receiver's mailbox (the hop delay itself is not queue time).
   if (env.trace.trace_id != 0) env.trace.enqueued_at = loop_.now();
@@ -841,27 +799,20 @@ void Domain::arrive(Envelope env, ProcessId dest, bool synth_on_dead) {
 }
 
 V_HOT_PATH
-void Domain::deliver_reply(HostId from_host, msg::Message reply,
-                           ProcessId to, ProcessId from,
+void Domain::deliver_reply(HostId from_host, const msg::Message& reply,
+                           const Envelope& env, ProcessId from,
                            const BindingHint& hint,
                            const BindingHint& origin) {
   // Protocol lint: replies from registered server-team pids must carry a
   // standard reply code.  Violations are recorded but still delivered.
-  lint_.check_reply(reply, from.raw, to.raw,
+  lint_.check_reply(reply, from.raw, env.sender.raw,
                     static_cast<std::uint64_t>(loop_.now()));
-  std::uint32_t answered_seq = 0;
-  if (loss_masking_) {
-    // Close the transaction slot this reply answers, caching the reply so
-    // duplicate requests replay it instead of re-executing.
-    // vlint: allow(hot-path-alloc): only while the plan's links can fault
-    answered_seq = record_served_reply(to, reply, hint, origin);
-  } else if (fault_plan_ != nullptr) {
-    // Lossless: stamp the id of the request copy that last landed.
-    if (const auto* client = find(to); client != nullptr) {
-      answered_seq = client->arrived_seq;
-    }
-  }
-  send_reply_packet(from_host, reply, to, hint, origin, answered_seq);
+  // Under loss masking, close the transaction slot this reply answers,
+  // caching the reply so duplicate requests replay it instead of
+  // re-executing.
+  // vlint: allow(hot-path-alloc): behind loss_masking_, set only by a plan whose links can fault
+  if (loss_masking_) record_served_reply(env, reply, hint, origin);
+  send_reply_packet(from_host, reply, env.sender, hint, origin, env.txn_seq);
 }
 
 V_HOT_PATH
@@ -916,14 +867,11 @@ void Domain::arrive_reply(ProcessId to, const msg::Message& reply,
 V_HOT_PATH
 bool Domain::stale_reply(const detail::ProcessRecord* rec,
                          std::uint32_t answered_seq) {
-  // A tracked reply must answer the sender's CURRENT transaction: a late
-  // copy of an earlier transaction's reply (duplicated in flight, or the
-  // client already gave up and moved on) must not complete a newer send.
-  if (answered_seq == 0 ||
-      (rec != nullptr &&
-       static_cast<std::uint32_t>(rec->send_seq) == answered_seq)) {
-    return false;
-  }
+  // A reply must answer the sender's CURRENT transaction: a late copy of
+  // an earlier transaction's reply (a slow server, a duplicate in flight,
+  // or the client already gave up and moved on) must not complete a newer
+  // send.
+  if (current_txn(rec, answered_seq)) return false;
   if (fault_plan_ != nullptr) ++fault_plan_->stats().stale_replies_dropped;
   return true;
 }
@@ -933,6 +881,17 @@ void Domain::synth_reply(ProcessId to, ReplyCode code,
   loop_.schedule_after(params_.local_hop, [this, to, code, answered_seq] {
     if (stale_reply(find(to), answered_seq)) return;
     complete_reply(to, msg::make_reply(code));
+  });
+}
+
+void Domain::schedule_timeout(ProcessId to, std::uint32_t txn,
+                              sim::SimDuration after) {
+  // A timer is not a reply on the wire: one that outlives its transaction
+  // is simply spent, not counted as a stale reply.
+  loop_.schedule_after(after, [this, to, txn] {
+    if (current_txn(find(to), txn)) {
+      complete_reply(to, msg::make_reply(ReplyCode::kTimeout));
+    }
   });
 }
 
@@ -982,7 +941,6 @@ void Domain::install_faults(fault::FaultPlan& plan) {
     const std::uint16_t host_idx = ev.host;
     const fault::HostEvent::Kind kind = ev.kind;
     loop_.schedule_at(ev.at, [this, host_idx, kind, then = ev.then] {
-      if (fault_plan_ == nullptr) return;
       if (host_idx < 1 || host_idx > hosts_.size()) return;
       Host& host = *hosts_[host_idx - 1];
       auto& fs = fault_plan_->stats();
@@ -1020,9 +978,7 @@ void Domain::install_faults(fault::FaultPlan& plan) {
     auto mirror = [this](const char* name,
                          std::uint64_t fault::FaultStats::*field) {
       metrics_.register_callback("fault", name, [this, field] {
-        return fault_plan_ != nullptr
-                   ? static_cast<double>(fault_plan_->stats().*field)
-                   : 0.0;
+        return static_cast<double>(fault_plan_->stats().*field);
       });
     };
     mirror("packets_seen", &fault::FaultStats::packets_seen);
@@ -1045,21 +1001,19 @@ void Domain::install_faults(fault::FaultPlan& plan) {
   }
 }
 
-void Domain::arm_retransmit(const Envelope& env, ProcessId dest,
-                            std::uint64_t seq) {
+void Domain::arm_retransmit(const Envelope& env, ProcessId dest) {
   const fault::RetryPolicy& policy = fault_plan_->retry();
-  schedule_retransmit(env, dest, seq, policy.initial_timeout, policy.budget);
+  schedule_retransmit(env, dest, policy.initial_timeout, policy.budget);
 }
 
 void Domain::schedule_retransmit(Envelope env, ProcessId dest,
-                                 std::uint64_t seq, sim::SimDuration timeout,
+                                 sim::SimDuration timeout,
                                  std::uint32_t remaining) {
-  loop_.schedule_after(timeout, [this, env = std::move(env), dest, seq,
-                                 timeout, remaining]() mutable {
-    if (fault_plan_ == nullptr) return;
+  loop_.schedule_after(timeout, [this, env = std::move(env), dest, timeout,
+                                 remaining]() mutable {
     auto* rec = find(env.sender);
-    if (rec == nullptr || !rec->alive || !rec->awaiting_reply ||
-        rec->send_seq != seq) {
+    if (!current_txn(rec, env.txn_seq) || !rec->alive ||
+        !rec->awaiting_reply) {
       return;  // transaction closed (answered, or the sender died)
     }
     if (remaining == 0) {
@@ -1107,7 +1061,7 @@ void Domain::schedule_retransmit(Envelope env, ProcessId dest,
     deliver(env.sender.logical_host(), std::move(copy), dest);
     const auto backed_off = static_cast<sim::SimDuration>(
         static_cast<double>(timeout) * fault_plan_->retry().backoff);
-    schedule_retransmit(std::move(env), dest, seq,
+    schedule_retransmit(std::move(env), dest,
                         std::min(backed_off, fault_plan_->retry().max_timeout),
                         remaining - 1);
   });
@@ -1126,7 +1080,6 @@ bool Domain::suppress_duplicate(detail::ProcessRecord& server,
     txn = detail::TxnState{};
     txn.seq = env.txn_seq;
     txn.presented = env.request;
-    txn_holder_[env.sender.raw] = server.pid;
     return false;
   }
   detail::TxnState& txn = it->second;
@@ -1183,23 +1136,21 @@ void Domain::note_forward(const Envelope& env, ProcessId new_dest,
   txn.fwd_group = group;
 }
 
-std::uint32_t Domain::record_served_reply(ProcessId to,
-                                          const msg::Message& reply,
-                                          const BindingHint& hint,
-                                          const BindingHint& origin) {
-  auto holder_it = txn_holder_.find(to.raw);
-  if (holder_it == txn_holder_.end()) return 0;
-  auto* server = find(holder_it->second);
-  if (server == nullptr) return 0;
-  auto it = server->dup_table.find(to.raw);
-  if (it == server->dup_table.end()) return 0;
+void Domain::record_served_reply(const Envelope& env,
+                                 const msg::Message& reply,
+                                 const BindingHint& hint,
+                                 const BindingHint& origin) {
+  auto* server = find(env.addressed);
+  if (server == nullptr) return;
+  auto it = server->dup_table.find(env.sender.raw);
+  // A slot recycled by the client's newer transaction is not this reply's.
+  if (it == server->dup_table.end() || it->second.seq != env.txn_seq) return;
   detail::TxnState& txn = it->second;
   txn.phase = detail::TxnState::Phase::kReplied;
   txn.reply = reply;
   txn.hint = hint;
   txn.origin = origin;
   txn.fwd_env = Envelope{};  // release the stored forward
-  return txn.seq;
 }
 
 void Domain::set_latency_slo(std::uint16_t code, sim::SimDuration budget) {

@@ -107,14 +107,15 @@ struct Envelope {
   /// terminal binding back to the prefix entry it started from.
   BindingHint origin;
   /// Transaction id of the Send this message belongs to (low 32 bits of
-  /// the sender's send sequence; PROTOCOL.md "Reliable transactions").
-  /// Stamped by Send, preserved by Forward.  Under an installed FaultPlan
-  /// it drives the staleness check and late-reply drops, and (lossy plans
-  /// only) duplicate suppression.
+  /// the sender's send sequence; PROTOCOL.md §12).  Stamped by Send,
+  /// preserved by Forward, and carried by the reply that names this
+  /// envelope: a copy, transfer or reply whose transaction the sender has
+  /// moved past is dropped or refused, in every domain.  Under loss
+  /// masking it also keys duplicate suppression.
   std::uint32_t txn_seq = 0;
-  /// The pid this envelope was delivered to (stamped on arrival).  Lets a
-  /// worker that forwards or replies find the receptionist's transaction
-  /// slot without plumbing extra arguments through server code.
+  /// The pid this envelope was delivered to (stamped on arrival).  A reply
+  /// or forward from a worker names this envelope, so the kernel finds the
+  /// receptionist's transaction slot here.
   ProcessId addressed;
 };
 
@@ -135,10 +136,10 @@ struct EnvNode {
 };
 
 /// At-most-once bookkeeping for one client's current transaction at one
-/// server (PROTOCOL.md "Reliable transactions").  A server record keeps one
-/// slot per client pid; a new transaction id from that client recycles it.
-/// Loss masking only: a lossless plan keeps no slots (see
-/// ProcessRecord::arrived_seq).
+/// server (PROTOCOL.md §12), kept only under loss masking.  A server record
+/// keeps one slot per client pid; a new transaction id from that client
+/// recycles it.  A reply closes the slot at its envelope's `addressed` pid,
+/// and only while the slot still holds that envelope's transaction.
 struct TxnState {
   enum class Phase : std::uint8_t {
     kPending,    ///< request delivered, no reply or forward yet
@@ -196,13 +197,8 @@ struct ProcessRecord {
   bool awaiting_reply = false;
   ProcessId blocked_on;      ///< current holder of our request (updated on
                              ///< forward delivery); used by crash sweeps
-  std::uint64_t send_seq = 0;  ///< distinguishes sends for timeout events
+  std::uint64_t send_seq = 0;  ///< low 32 bits: the current transaction id
   Segments exposed;            ///< segments of the in-flight send
-  /// Transaction id of this process's request that most recently landed
-  /// at a server (0 = none yet).  Under a lossless FaultPlan it is the
-  /// whole transaction slot: replies are stamped with it, so a late reply
-  /// to a superseded transaction is dropped on arrival.
-  std::uint32_t arrived_seq = 0;
 
   /// Observability bookkeeping for the in-flight send: when it started
   /// (SLO latency, watchdog overdue checks) and its opcode (SLO bucket).
@@ -263,14 +259,17 @@ class Process {
   /// Receive the next message (blocks if the mailbox is empty).
   [[nodiscard]] sim::Co<Envelope> receive();
 
-  /// Reply to a blocked sender.  Non-blocking; delivery is scheduled.
-  void reply(const msg::Message& reply_msg, ProcessId to);
+  /// Reply to the Send that delivered `env` (V's Reply answers one
+  /// outstanding Send).  Non-blocking; delivery is scheduled.  The reply
+  /// carries env's transaction id: if the sender has moved on to a newer
+  /// Send by the time it lands, it is dropped, never delivered to that Send.
+  void reply(const Envelope& env, const msg::Message& reply_msg);
 
   /// Reply with a piggybacked binding hint (simulation extra, PROTOCOL.md
-  /// §11): `hint` is where interpretation ended, `origin` echoes the
-  /// envelope's origin binding.  Costs exactly what reply() costs.
-  void reply_with_hint(const msg::Message& reply_msg, ProcessId to,
-                       const BindingHint& hint, const BindingHint& origin);
+  /// §11): `hint` is where interpretation ended; the reply also echoes
+  /// `env.origin`.  Costs exactly what reply() costs.
+  void reply_with_hint(const Envelope& env, const msg::Message& reply_msg,
+                       const BindingHint& hint);
 
   /// The binding hint that rode the reply to this process's last send
   /// (invalid() when the reply carried none — errors, synthesized replies,
@@ -292,38 +291,20 @@ class Process {
   /// member answers, the sender gets kTimeout after the group timeout.
   void forward_to_group(const Envelope& env, GroupId group);
 
-  /// Copy `dest.size()` bytes from the blocked sender's read segment at
-  /// `offset` into `dest`.  Charges the calibrated bulk-transfer time.
-  /// `txn` (when non-null) binds the transfer to that envelope's
-  /// transaction: if the sender has since timed out and issued a NEW send,
-  /// the transfer is refused with kNoReply instead of touching the buffers
-  /// of a transaction it does not belong to.  Servers must pass their
-  /// envelope (use the Envelope overloads below); the unchecked form exists
-  /// for transfers outside a request/reply transaction.
-  [[nodiscard]] sim::Co<Result<std::size_t>> move_from(
-      ProcessId src, std::span<std::byte> dest, std::size_t offset = 0,
-      const Envelope* txn = nullptr);
-
-  /// Copy `src` into the blocked sender's write segment at `offset`.
-  /// See move_from for the `txn` transaction check.
-  [[nodiscard]] sim::Co<Result<std::size_t>> move_to(
-      ProcessId dest, std::span<const std::byte> src, std::size_t offset = 0,
-      const Envelope* txn = nullptr);
-
-  /// Transaction-checked transfers: the server-side forms.  A request can
-  /// queue at a busy server long enough for its sender to time out and
-  /// move on; a transfer issued afterwards must die (kNoReply), not land
+  /// Copy `dest.size()` bytes from the read segment of `env`'s blocked
+  /// sender at `offset` into `dest`.  Charges the calibrated bulk-transfer
+  /// time.  Bound to env's transaction: a request can queue at a busy
+  /// server long enough for its sender to time out and move on, and a
+  /// transfer issued afterwards is refused with kNoReply instead of landing
   /// in whatever segment the sender exposed for its NEXT transaction.
   [[nodiscard]] sim::Co<Result<std::size_t>> move_from(
-      const Envelope& env, std::span<std::byte> dest,
-      std::size_t offset = 0) {
-    return move_from(env.sender, dest, offset, &env);
-  }
+      const Envelope& env, std::span<std::byte> dest, std::size_t offset = 0);
+
+  /// Copy `src` into the write segment of `env`'s blocked sender at
+  /// `offset`.  Same transaction check as move_from.
   [[nodiscard]] sim::Co<Result<std::size_t>> move_to(
       const Envelope& env, std::span<const std::byte> src,
-      std::size_t offset = 0) {
-    return move_to(env.sender, src, offset, &env);
-  }
+      std::size_t offset = 0);
 
   /// Fetch the request's character-string name — the first `name_len`
   /// bytes of the blocked sender's read segments — fetch-once style: the
@@ -574,12 +555,12 @@ class Domain {
   }
 
   /// Arm the V-fault machinery: schedule the plan's host lifecycle events
-  /// and turn on the transaction layer (staleness checks, late-reply
-  /// drops).  Decides once, from FaultPlan::lossless(), whether to arm
-  /// loss masking too: link verdicts on every remote packet, retransmission
-  /// under the RetryPolicy and duplicate suppression.  Freezes the plan's
-  /// links.  The plan must outlive the run; its FaultStats are mirrored
-  /// into the metrics registry as "fault/..." entries.
+  /// and decide once, from FaultPlan::lossless(), whether to arm loss
+  /// masking: link verdicts on every remote packet, retransmission under
+  /// the RetryPolicy and duplicate suppression.  The transaction rule
+  /// itself is the kernel's and holds with or without a plan.  Freezes the
+  /// plan's links.  The plan must outlive the run; its FaultStats are
+  /// mirrored into the metrics registry as "fault/..." entries.
   void install_faults(fault::FaultPlan& plan);
   /// True when the installed plan's links can fault, so Sends are covered
   /// by retransmission and duplicate suppression.
@@ -640,31 +621,35 @@ class Domain {
   void deliver(HostId from_host, Envelope env, ProcessId dest,
                bool synth_on_dead);
 
-  /// Schedule a reply delivery to a blocked sender.  `from` identifies the
-  /// replying process for the protocol lint (invalid() for kernel-
-  /// synthesized replies, which are exempt from server-conformance checks).
-  /// `hint`/`origin` are the piggybacked binding hints ({} for unhinted
-  /// replies); they ride the scheduled delivery and cost nothing.
-  void deliver_reply(HostId from_host, msg::Message reply, ProcessId to,
-                     ProcessId from, const BindingHint& hint = {},
-                     const BindingHint& origin = {});
+  /// Schedule delivery of `from`'s reply to the Send that delivered `env`,
+  /// stamped with env's transaction id.  `hint`/`origin` are the
+  /// piggybacked binding hints ({} for unhinted replies); they ride the
+  /// scheduled delivery and cost nothing.
+  void deliver_reply(HostId from_host, const msg::Message& reply,
+                     const Envelope& env, ProcessId from,
+                     const BindingHint& hint, const BindingHint& origin);
 
   /// Synthesize a failure reply (kNoReply etc.) to a blocked sender, at a
   /// hop's delay.  `answered_seq` is the transaction it answers: the reply
   /// is dropped if the sender has moved past it by then.
   void synth_reply(ProcessId to, ReplyCode code, std::uint32_t answered_seq);
+  /// Answer `to`'s transaction `txn` with kTimeout after `after`, unless it
+  /// was answered or superseded first (group sends and group forwards).
+  void schedule_timeout(ProcessId to, std::uint32_t txn,
+                        sim::SimDuration after);
 
   /// A request packet landing at its destination host (after the hop delay
-  /// and any fault verdicts).  Runs lint, duplicate suppression and the
-  /// retransmission-staleness guard, then enqueues into the mailbox.  The
-  /// envelope is slab slot `slot`; accepted packets are linked into the
-  /// destination's mailbox in place, rejected ones release the slot.
+  /// and any fault verdicts).  Runs the transaction rule, duplicate
+  /// suppression (loss masking only) and lint, then enqueues into the
+  /// mailbox.  The envelope is slab slot `slot`; accepted packets are
+  /// linked into the destination's mailbox in place, rejected ones release
+  /// the slot.
   void arrive_slot(std::uint32_t slot, ProcessId dest, bool synth_on_dead);
   /// Re-entry shim for packets that left the slab (pause-stash flushes):
   /// re-acquires a slot and lands through arrive_slot.
   void arrive(Envelope env, ProcessId dest, bool synth_on_dead);
   /// Put one reply packet on the wire toward `to`, applying fault verdicts.
-  /// `answered_seq` is the transaction the reply answers (0 = untracked).
+  /// `answered_seq` is the transaction the reply answers.
   void send_reply_packet(HostId from_host, const msg::Message& reply,
                          ProcessId to, const BindingHint& hint,
                          const BindingHint& origin,
@@ -674,8 +659,17 @@ class Domain {
   void arrive_reply(ProcessId to, const msg::Message& reply,
                     const BindingHint& hint, const BindingHint& origin,
                     std::uint32_t answered_seq);
-  /// True (and counted) when a reply stamped `answered_seq` answers a
-  /// transaction `rec` has moved past.  0 = untracked, never stale.
+  /// The transaction rule (PROTOCOL.md §12): true when `txn` is still the
+  /// current transaction of process `rec`, i.e. its latest Send.  Request
+  /// arrival, Move*/fetch_name, reply arrival, timeouts and retransmits all
+  /// ask this one question; a null record has no current transaction.
+  V_HOT_PATH
+  static bool current_txn(const detail::ProcessRecord* rec,
+                          std::uint32_t txn) noexcept {
+    return rec != nullptr && static_cast<std::uint32_t>(rec->send_seq) == txn;
+  }
+  /// True (and, under a plan, counted) when a reply stamped `answered_seq`
+  /// answers a transaction `rec` has moved past.
   bool stale_reply(const detail::ProcessRecord* rec,
                    std::uint32_t answered_seq);
 
@@ -687,9 +681,8 @@ class Domain {
   /// Client-side retransmission: re-deliver a copy of the send every
   /// (backed-off) timeout until the transaction closes or the budget is
   /// exhausted, then surface kNoReply.
-  void arm_retransmit(const Envelope& env, ProcessId dest,
-                      std::uint64_t seq);
-  void schedule_retransmit(Envelope env, ProcessId dest, std::uint64_t seq,
+  void arm_retransmit(const Envelope& env, ProcessId dest);
+  void schedule_retransmit(Envelope env, ProcessId dest,
                            sim::SimDuration timeout, std::uint32_t remaining);
   /// Server-side at-most-once filter.  True = the envelope was a duplicate
   /// and has been fully handled (suppressed / forward re-driven / cached
@@ -698,11 +691,10 @@ class Domain {
   /// Record that the received envelope was forwarded (rewritten as `env`),
   /// so a duplicate of the original request re-drives the forward.
   void note_forward(const Envelope& env, ProcessId new_dest, GroupId group);
-  /// Record a served reply in the transaction slot it answers.  Returns
-  /// that transaction's seq (0 when the reply closes no tracked slot).
-  std::uint32_t record_served_reply(ProcessId to, const msg::Message& reply,
-                                    const BindingHint& hint,
-                                    const BindingHint& origin);
+  /// Record a reply to `env` in the transaction slot it answers (at
+  /// env.addressed), if that slot still holds env's transaction.
+  void record_served_reply(const Envelope& env, const msg::Message& reply,
+                           const BindingHint& hint, const BindingHint& origin);
 
   CalibrationParams params_;
   sim::EventLoop loop_;
@@ -745,11 +737,6 @@ class Domain {
   fault::FaultPlan* fault_plan_ = nullptr;
   /// The installed plan can drop, duplicate or reorder (install_faults).
   bool loss_masking_ = false;
-  /// client pid -> server record currently holding its transaction slot
-  /// (the last server a request of that client was delivered to), so the
-  /// reply path can find the slot without plumbing envelopes through
-  /// server code.  Loss masking only.
-  FlatMap<std::uint32_t, ProcessId> txn_holder_;
   bool fault_metrics_registered_ = false;
 };
 

@@ -390,7 +390,7 @@ sim::Co<void> CsnhServer::dispatch(ipc::Process& self, ipc::Envelope env) {
     self.domain().lint().note_unanswered(pid_.raw, env.sender.raw);
     co_return;
   }
-  self.reply(reply, env.sender);
+  self.reply(env, reply);
 }
 
 void CsnhServer::reply_csname(ipc::Process& self, const ipc::Envelope& env,
@@ -406,7 +406,7 @@ void CsnhServer::reply_csname(ipc::Process& self, const ipc::Envelope& env,
     self.domain().lint().note_unanswered(pid_.raw, env.sender.raw);
     return;
   }
-  self.reply(reply, env.sender);
+  self.reply(env, reply);
 }
 
 bool CsnhServer::defines_leaf(std::uint16_t code) noexcept {
@@ -666,7 +666,7 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
   if (reply.code() == static_cast<std::uint16_t>(ReplyCode::kOk)) {
     const ipc::BindingHint hint{pid_.raw, ctx, generation(ctx),
                                 static_cast<std::uint16_t>(index)};
-    self.reply_with_hint(reply, env.sender, hint, env.origin);
+    self.reply_with_hint(env, reply, hint);
   } else {
     reply_csname(self, env, reply);
   }

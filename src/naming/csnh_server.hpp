@@ -292,11 +292,10 @@ class CsnhServer {
   ///
   /// A handler may return silent_discard() to answer NOTHING — the group
   /// discipline for misc ops multicast to a service group: only the
-  /// designated member replies, everyone else stays silent so a stray
-  /// second reply can never race a later transaction of the same client
-  /// (the kernel matches replies to senders, not to transactions; see
-  /// ShardPrefixServer's map fetch).  The sender's group timeout covers
-  /// the nobody-answered case.
+  /// designated member replies, everyone else stays silent: one reply per
+  /// multicast, not a chorus (a stray second reply names a closed
+  /// transaction, so the kernel would drop it anyway; PROTOCOL.md §12).
+  /// The sender's group timeout covers the nobody-answered case.
   virtual sim::Co<msg::Message> handle_custom(ipc::Process& self,
                                               ipc::Envelope& env);
 

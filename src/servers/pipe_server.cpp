@@ -210,7 +210,7 @@ sim::Co<void> PipeServer::serve_read(ipc::Process& self,
       std::min<std::size_t>(count, pipe.buffer.size());
   if (n == 0) {
     // Only called when EOF is certain (no writers, empty buffer).
-    self.reply(msg::make_reply(ReplyCode::kEndOfFile), env.sender);
+    self.reply(env, msg::make_reply(ReplyCode::kEndOfFile));
     co_return;
   }
   // Claim the bytes BEFORE suspending in move_to: with a worker team a
@@ -238,7 +238,7 @@ sim::Co<void> PipeServer::serve_read(ipc::Process& self,
   msg::Message reply = msg::make_reply(ReplyCode::kOk);
   reply.set_u16(io::kOffXferCount, static_cast<std::uint16_t>(n));
   reply.set_u32(io::kOffXferCountLong, static_cast<std::uint32_t>(n));
-  self.reply(reply, env.sender);
+  self.reply(env, reply);
 }
 
 V_BORROWS_SPAN
@@ -313,7 +313,7 @@ sim::Co<std::optional<msg::Message>> PipeServer::handle_instance_op(
       }
       msg::Message reply = msg::make_reply(ReplyCode::kOk);
       reply.set_u16(io::kOffXferCount, count);
-      self.reply(reply, env.sender);
+      self.reply(env, reply);
       co_await drain_blocked(self, pipe);
       co_return std::nullopt;  // replied above
     }

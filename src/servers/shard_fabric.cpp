@@ -37,10 +37,8 @@ sim::Co<msg::Message> ShardPrefixServer::handle_custom(ipc::Process& self,
   }
   if (!fabric_->designated_responder(pid())) {
     // Group silence: the fetch was multicast to every member, but exactly
-    // ONE live member may answer.  A second reply would outlive this
-    // transaction and could complete the client's NEXT send — the kernel
-    // matches replies to senders, not transactions (complete_reply), so
-    // chorus protocols are forbidden; see CsnhServer::handle_custom.
+    // ONE live member answers — one reply per fetch, not a chorus; see
+    // CsnhServer::handle_custom.
     co_return silent_discard();
   }
   metric_inc(self, "shardmap_fetches");
@@ -55,8 +53,7 @@ sim::Co<msg::Message> ShardPrefixServer::handle_custom(ipc::Process& self,
   const auto moved = co_await self.move_to(env, bytes);
   if (!moved.ok()) {
     // The sender gave up (group timeout) or died while we were busy: the
-    // transaction is closed, so there is nobody to answer.  Stay silent
-    // rather than launch a reply that could hit the sender's next send.
+    // transaction is closed, so there is nobody to answer.
     co_return silent_discard();
   }
   msg::Message reply = msg::make_reply(ReplyCode::kOk);

@@ -126,8 +126,8 @@ class ShardFabric {
 
   /// Is `pid` the fabric member that answers map fetches right now?  The
   /// first live member in index order is designated; all other members
-  /// stay SILENT on kFetchShardMap so a multicast never draws two replies
-  /// (a stray second reply could complete the client's next transaction).
+  /// stay SILENT on kFetchShardMap so a multicast draws one reply, not one
+  /// per shard.
   [[nodiscard]] bool designated_responder(ipc::ProcessId pid) const;
 
   /// The current map: each published shard's entry carries its ownership

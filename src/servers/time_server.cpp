@@ -9,7 +9,7 @@ sim::Co<void> time_server(ipc::Process self) {
   for (;;) {
     auto env = co_await self.receive();
     if (env.request.code() != msg::RequestCode::kGetTime) {
-      self.reply(msg::make_reply(ReplyCode::kIllegalRequest), env.sender);
+      self.reply(env, msg::make_reply(ReplyCode::kIllegalRequest));
       continue;
     }
     msg::Message reply = msg::make_reply(ReplyCode::kOk);
@@ -17,7 +17,7 @@ sim::Co<void> time_server(ipc::Process self) {
                   static_cast<std::uint32_t>(self.now() / sim::kSecond));
     // Not a CsnhServer, so no metric_inc helper: count directly.
     self.domain().metrics().counter("timeserver", "queries").inc();
-    self.reply(reply, env.sender);
+    self.reply(env, reply);
   }
 }
 

@@ -11,6 +11,16 @@ namespace v::svc {
 
 namespace {
 
+/// Open attempts (including the first) before surfacing the last transport
+/// error.  Sized so a full crash -> handoff window — tens of milliseconds of
+/// kNoReply — is survived at kRetryDelay pacing.
+constexpr std::size_t kMaxAttempts = 64;
+/// Pause before retrying after kNoReply/kTimeout/kBusy — the fabric needs
+/// simulated time, not spin, to finish a handoff or drain a queue.
+/// Stale-map retries skip the pause (the refetch already advanced the clock
+/// and the new map is actionable immediately).
+constexpr sim::SimDuration kRetryDelay = 5 * sim::kMillisecond;
+
 /// "[prefix]rest" -> "prefix" ("" when the syntax does not match; the
 /// caller falls back to plain Rt routing).
 std::string_view prefix_of(std::string_view name) noexcept {
@@ -51,10 +61,10 @@ sim::Co<Result<Rt::OpenedFile>> ShardRouter::open(std::string_view name,
   }
   ++stats_.opens;
   ReplyCode last = ReplyCode::kNoReply;
-  for (std::size_t attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
+  for (std::size_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (map_.empty() && !co_await refetch_map()) {
       last = ReplyCode::kTimeout;  // whole fabric unreachable right now
-      co_await rt_.process().delay(cfg_.retry_delay);
+      co_await rt_.process().delay(kRetryDelay);
       continue;
     }
     const naming::ShardMap::Shard& shard = map_.shards[map_.route(prefix)];
@@ -75,11 +85,11 @@ sim::Co<Result<Rt::OpenedFile>> ShardRouter::open(std::string_view name,
       case ReplyCode::kTimeout:
         ++stats_.noreply_retries;
         (void)co_await refetch_map();
-        co_await rt_.process().delay(cfg_.retry_delay);
+        co_await rt_.process().delay(kRetryDelay);
         break;
       case ReplyCode::kBusy:
         ++stats_.busy_retries;
-        co_await rt_.process().delay(cfg_.retry_delay);
+        co_await rt_.process().delay(kRetryDelay);
         break;
       default:
         // Authoritative: the generation matched, the shard interpreted the

@@ -33,15 +33,6 @@ class ShardRouter {
  public:
   struct Config {
     ipc::GroupId fabric_group = 0xFAB0;
-    /// Open attempts (including the first) before surfacing the last
-    /// transport error.  Sized so a full crash -> handoff window — tens of
-    /// milliseconds of kNoReply — is survived at `retry_delay` pacing.
-    std::size_t max_attempts = 64;
-    /// Pause before retrying after kNoReply/kTimeout/kBusy — the fabric
-    /// needs simulated time, not spin, to finish a handoff or drain a
-    /// queue.  Stale-map retries skip the pause (the refetch already
-    /// advanced the clock and the new map is actionable immediately).
-    sim::SimDuration retry_delay = 5 * sim::kMillisecond;
   };
 
   struct Stats {

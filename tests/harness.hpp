@@ -27,7 +27,7 @@ inline sim::Co<void> echo_server(ipc::Process self) {
     auto env = co_await self.receive();
     msg::Message reply = env.request;
     reply.set_reply_code(ReplyCode::kOk);
-    self.reply(reply, env.sender);
+    self.reply(env, reply);
   }
 }
 

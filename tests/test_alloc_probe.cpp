@@ -35,7 +35,7 @@ void expect_warm_transactions_allocate_nothing(fault::FaultPlan* plan) {
   const auto echo_pid = srv.spawn("echo", [](ipc::Process self) -> Co<void> {
     for (;;) {
       auto env = co_await self.receive();
-      self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+      self.reply(env, msg::make_reply(ReplyCode::kOk));
     }
   });
   // Warm-up grows every pool once (event-loop slab chunks, envelope slab,
@@ -77,8 +77,7 @@ TEST(AllocProbe, WarmPingPongTransactionsAllocateNothing) {
 #endif
 }
 
-// A plan whose links cannot fault keeps the transaction layer (ids,
-// staleness, late-reply drops) but arms no loss masking: no retransmit
+// A plan whose links cannot fault arms no loss masking: no retransmit
 // timer per Send, no duplicate-suppression slot, so still zero.
 TEST(AllocProbe, WarmTransactionsUnderCrashOnlyPlanAllocateNothing) {
   if (!chk::alloc_probe_active()) {

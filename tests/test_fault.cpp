@@ -116,7 +116,7 @@ Co<void> counting_server(ipc::Process self) {
     msg::Message reply = env.request;
     reply.set_reply_code(ReplyCode::kOk);
     reply.set_u32(4, ++served);
-    self.reply(reply, env.sender);
+    self.reply(env, reply);
   }
 }
 
@@ -285,7 +285,7 @@ TEST(FaultIpc, PausedHostSuppressesRetransmitsUnderLossyPlan) {
       << dom.lint().first_dump();
 }
 
-// --- lossless plans: the transaction layer without loss masking -------------
+// --- lossless plans: no loss masking -----------------------------------------
 
 TEST(FaultIpc, CrashOnlyPlanNeverTimesOutALiveServer) {
   // The default retry budget gives up after 10+20+40+80*4 = 390 ms.  Under
@@ -301,7 +301,7 @@ TEST(FaultIpc, CrashOnlyPlanNeverTimesOutALiveServer) {
         for (;;) {
           auto env = co_await self.receive();
           co_await self.delay(500 * kMillisecond);
-          self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+          self.reply(env, msg::make_reply(ReplyCode::kOk));
         }
       });
 
@@ -347,7 +347,7 @@ TEST(FaultIpc, LateGroupReplyDroppedUnderCrashOnlyPlan) {
       co_await self.delay(late);
       msg::Message reply = msg::make_reply(ReplyCode::kOk);
       reply.set_u32(4, kLateMarker);
-      self.reply(reply, env.sender);
+      self.reply(env, reply);
     }
   });
   const ipc::ProcessId server = ws3.spawn("server", counting_server);
@@ -368,6 +368,140 @@ TEST(FaultIpc, LateGroupReplyDroppedUnderCrashOnlyPlan) {
   EXPECT_EQ(plan.stats().retransmits, 0u);
 }
 
+// --- the transaction rule holds in every mode -------------------------------
+
+enum class PlanMode { kNoPlan, kCrashOnly, kLossy };
+
+class LateReply : public ::testing::TestWithParam<PlanMode> {};
+
+TEST_P(LateReply, NeverCompletesANewerSend) {
+  // A group member answers 10 ms after the group timeout.  By then the
+  // client's next Send has already reached a slow server on another host,
+  // so the late reply lands while that Send is outstanding.  It names the
+  // superseded group transaction: it is dropped, and the Send completes
+  // with its own server's reply, whether or not a plan is installed.
+  ipc::Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  auto& ws3 = dom.add_host("ws3");
+  auto& spare = dom.add_host("spare");
+  constexpr ipc::GroupId kGroup = 42;
+  constexpr std::uint32_t kLateMarker = 0xBADu;
+  const sim::SimDuration late = dom.params().group_timeout + 10 * kMillisecond;
+  ws2.spawn("member", [late](ipc::Process self) -> Co<void> {
+    self.join_group(kGroup);
+    for (;;) {
+      auto env = co_await self.receive();
+      co_await self.delay(late);
+      msg::Message reply = msg::make_reply(ReplyCode::kOk);
+      reply.set_u32(4, kLateMarker);
+      self.reply(env, reply);
+    }
+  });
+  const ipc::ProcessId server =
+      ws3.spawn("slow", [](ipc::Process self) -> Co<void> {
+        std::uint32_t served = 0;
+        for (;;) {
+          auto env = co_await self.receive();
+          co_await self.delay(50 * kMillisecond);
+          msg::Message reply = msg::make_reply(ReplyCode::kOk);
+          reply.set_u32(4, ++served);
+          self.reply(env, reply);
+        }
+      });
+
+  fault::FaultPlan plan(0xFA00B);
+  if (GetParam() == PlanMode::kLossy) {
+    // A dead link nothing uses: it arms loss masking, touches no traffic.
+    fault::LinkFaults dead_wire;
+    dead_wire.drop = 1.0;
+    plan.set_link(spare.id(), ws1.id(), dead_wire);
+  }
+  if (GetParam() != PlanMode::kNoPlan) {
+    plan.crash_at(10 * sim::kSecond, spare.id());
+    dom.install_faults(plan);
+    EXPECT_EQ(dom.loss_masking(), GetParam() == PlanMode::kLossy);
+  }
+
+  test::run_client(dom, ws1, [&, server](ipc::Process self) -> Co<void> {
+    co_await self.delay(kMillisecond);  // let the member join
+    const auto timed_out = co_await self.send_to_group(msg::Message{}, kGroup);
+    EXPECT_EQ(timed_out.reply_code(), ReplyCode::kTimeout);
+    const auto reply = co_await self.send(msg::Message{}, server);
+    EXPECT_EQ(reply.reply_code(), ReplyCode::kOk);
+    EXPECT_EQ(reply.u32(4), 1u);  // the server's answer, not the late one
+  });
+  if (GetParam() != PlanMode::kNoPlan) {
+    EXPECT_EQ(plan.stats().stale_replies_dropped, 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, LateReply,
+    ::testing::Values(PlanMode::kNoPlan, PlanMode::kCrashOnly,
+                      PlanMode::kLossy),
+    [](const ::testing::TestParamInfo<PlanMode>& info) {
+      switch (info.param) {
+        case PlanMode::kNoPlan:
+          return "NoPlan";
+        case PlanMode::kCrashOnly:
+          return "CrashOnlyPlan";
+        case PlanMode::kLossy:
+          return "LossyPlan";
+      }
+      return "Unknown";
+    });
+
+TEST(FaultIpc, LateReplyNeverFillsTheNewerTransactionsSlot) {
+  // Under loss masking a reply is cached in the at-most-once slot it
+  // answers.  Here the late group reply comes from the very server the
+  // client's next Send went to, after that Send recycled the client's
+  // slot there.  The late reply must not be cached in the new slot, or the
+  // retransmit that lands before the real answer would replay it.
+  ipc::Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  auto& spare = dom.add_host("spare");
+  constexpr ipc::GroupId kGroup = 42;
+  constexpr std::uint32_t kLateMarker = 0xBADu;
+  const sim::SimDuration late = dom.params().group_timeout + 5 * kMillisecond;
+  const ipc::ProcessId member =
+      ws2.spawn("member", [late](ipc::Process self) -> Co<void> {
+        self.join_group(kGroup);
+        auto first = co_await self.receive();
+        co_await self.delay(late);
+        msg::Message reply = msg::make_reply(ReplyCode::kOk);
+        reply.set_u32(4, kLateMarker);
+        self.reply(first, reply);
+        for (std::uint32_t served = 1;; ++served) {
+          auto env = co_await self.receive();
+          co_await self.delay(30 * kMillisecond);
+          reply.set_u32(4, served);
+          self.reply(env, reply);
+        }
+      });
+
+  fault::FaultPlan plan(0xFA00C);
+  fault::LinkFaults dead_wire;
+  dead_wire.drop = 1.0;
+  plan.set_link(spare.id(), ws1.id(), dead_wire);  // arms loss masking only
+  dom.install_faults(plan);
+
+  test::run_client(dom, ws1, [&, member](ipc::Process self) -> Co<void> {
+    co_await self.delay(kMillisecond);  // let the member join
+    const auto timed_out = co_await self.send_to_group(msg::Message{}, kGroup);
+    EXPECT_EQ(timed_out.reply_code(), ReplyCode::kTimeout);
+    // Its first retransmit (10 ms) lands after the late reply and before
+    // the member has answered this Send.
+    const auto reply = co_await self.send(msg::Message{}, member);
+    EXPECT_EQ(reply.reply_code(), ReplyCode::kOk);
+    EXPECT_EQ(reply.u32(4), 1u);
+  });
+  EXPECT_GE(plan.stats().dup_requests_suppressed, 1u);
+  EXPECT_EQ(plan.stats().cached_replies_replayed, 0u);
+  EXPECT_EQ(plan.stats().stale_replies_dropped, 1u);
+}
+
 TEST(FaultIpc, StaleCopyOnDeadHostFailsNoNewerSend) {
   // Regression: a retransmitted request copy that lands on a crashed host
   // draws a synthesized kNoReply.  It answers the OLD transaction, so it
@@ -382,7 +516,7 @@ TEST(FaultIpc, StaleCopyOnDeadHostFailsNoNewerSend) {
         for (;;) {
           auto env = co_await self.receive();
           co_await self.delay(50 * kMillisecond);
-          self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+          self.reply(env, msg::make_reply(ReplyCode::kOk));
         }
       });
 

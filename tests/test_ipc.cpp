@@ -96,7 +96,7 @@ TEST(Ipc, RequestAndReplyFieldsRoundTrip) {
         EXPECT_EQ(env.request.u32(8), 0xDEADBEEFu);
         msg::Message reply = msg::make_reply(ReplyCode::kOk);
         reply.set_u32(4, 0xCAFEF00Du);
-        self.reply(reply, env.sender);
+        self.reply(env, reply);
       });
   run_client(dom, host, [server](Process self) -> Co<void> {
     msg::Message req;
@@ -121,7 +121,7 @@ TEST(Ipc, ForwardDeliversToThirdProcessWithOriginalSender) {
         // process": the envelope's sender is the client, not the forwarder.
         EXPECT_EQ(env.sender, client_pid);
         EXPECT_EQ(env.request.u16(2), 7);  // rewritten by the forwarder
-        self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+        self.reply(env, msg::make_reply(ReplyCode::kOk));
       });
   const ProcessId forwarder =
       host.spawn("forwarder", [final_server](Process self) -> Co<void> {
@@ -168,16 +168,16 @@ TEST(Ipc, MoveFromReadsBlockedSendersSegment) {
       host.spawn("server", [](Process self) -> Co<void> {
         auto env = co_await self.receive();
         std::vector<std::byte> buf(5);
-        auto got = co_await self.move_from(env.sender, buf, 0);
+        auto got = co_await self.move_from(env, buf, 0);
         EXPECT_TRUE(got.ok());
         EXPECT_EQ(got.value(), 5u);
         EXPECT_EQ(std::memcmp(buf.data(), "hello", 5), 0);
         // Offset reads work too.
         std::vector<std::byte> tail(3);
-        got = co_await self.move_from(env.sender, tail, 2);
+        got = co_await self.move_from(env, tail, 2);
         EXPECT_TRUE(got.ok());
         EXPECT_EQ(std::memcmp(tail.data(), "llo", 3), 0);
-        self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+        self.reply(env, msg::make_reply(ReplyCode::kOk));
       });
   run_client(dom, host, [server](Process self) -> Co<void> {
     const char data[] = "hello";
@@ -196,9 +196,9 @@ TEST(Ipc, MoveToWritesBlockedSendersSegment) {
         auto env = co_await self.receive();
         const char page[] = "PAGEDATA";
         auto put =
-            co_await self.move_to(env.sender, std::as_bytes(std::span(page, 8)));
+            co_await self.move_to(env, std::as_bytes(std::span(page, 8)));
         EXPECT_TRUE(put.ok());
-        self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+        self.reply(env, msg::make_reply(ReplyCode::kOk));
       });
   run_client(dom, host, [server](Process self) -> Co<void> {
     std::vector<std::byte> buf(8);
@@ -217,10 +217,10 @@ TEST(Ipc, MoveFromBeyondSegmentIsBadArgs) {
       host.spawn("server", [](Process self) -> Co<void> {
         auto env = co_await self.receive();
         std::vector<std::byte> buf(10);  // larger than the 5-byte segment
-        auto got = co_await self.move_from(env.sender, buf, 0);
+        auto got = co_await self.move_from(env, buf, 0);
         EXPECT_FALSE(got.ok());
         EXPECT_EQ(got.code(), ReplyCode::kBadArgs);
-        self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+        self.reply(env, msg::make_reply(ReplyCode::kOk));
       });
   run_client(dom, host, [server](Process self) -> Co<void> {
     const char data[] = "hello";
@@ -348,7 +348,7 @@ TEST(Group, FirstReplyWins) {
     auto env = co_await self.receive();
     msg::Message m = msg::make_reply(ReplyCode::kOk);
     m.set_u16(2, 1);  // identifies the fast member
-    self.reply(m, env.sender);
+    self.reply(env, m);
   });
   ws2.spawn("slow", [](Process self) -> Co<void> {
     self.join_group(42);
@@ -356,7 +356,7 @@ TEST(Group, FirstReplyWins) {
     co_await self.delay(50 * kMillisecond);
     msg::Message m = msg::make_reply(ReplyCode::kOk);
     m.set_u16(2, 2);
-    self.reply(m, env.sender);
+    self.reply(env, m);
   });
   run_client(dom, ws1, [kGroup](Process self) -> Co<void> {
     co_await self.delay(kMillisecond);  // let members join
@@ -389,7 +389,7 @@ TEST(Group, MulticastDeliversInJoinOrder) {
                  self.join_group(kGroup);
                  auto env = co_await self.receive();
                  delivered.push_back(i);
-                 self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+                 self.reply(env, msg::make_reply(ReplyCode::kOk));
                });
   }
   run_client(dom, host, [&delivered](Process self) -> Co<void> {
@@ -411,13 +411,49 @@ TEST(Group, DeadMembersAreSkipped) {
   host.spawn("alive", [](Process self) -> Co<void> {
     self.join_group(7);
     auto env = co_await self.receive();
-    self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+    self.reply(env, msg::make_reply(ReplyCode::kOk));
   });
   run_client(dom, host, [](Process self) -> Co<void> {
     co_await self.delay(kMillisecond);
     const auto reply = co_await self.send_to_group(msg::Message{}, 7);
     EXPECT_EQ(reply.reply_code(), ReplyCode::kOk);
   });
+}
+
+TEST(Group, PausedMemberNeverRunsASupersededRequest) {
+  // No FaultPlan: the transaction rule is the kernel's own.  The member's
+  // host is paused past the group timeout, so the multicast copy lands
+  // only after the client has timed out of that Send.  It answers nothing
+  // and must be dropped on arrival, never executed.
+  Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  constexpr GroupId kGroup = 42;
+  std::uint32_t served = 0;
+  const ProcessId member =
+      ws2.spawn("member", [&served](Process self) -> Co<void> {
+        self.join_group(kGroup);
+        for (;;) {
+          auto env = co_await self.receive();
+          msg::Message reply = msg::make_reply(ReplyCode::kOk);
+          reply.set_u32(4, ++served);
+          self.reply(env, reply);
+        }
+      });
+  run_client(dom, ws1, [&, member](Process self) -> Co<void> {
+    co_await self.delay(kMillisecond);  // let the member join
+    ws2.pause();
+    const auto timed_out = co_await self.send_to_group(msg::Message{}, kGroup);
+    EXPECT_EQ(timed_out.reply_code(), ReplyCode::kTimeout);
+    ws2.resume();
+    co_await self.delay(50 * kMillisecond);  // let the stashed copy land
+    EXPECT_EQ(served, 0u);
+    // The member itself is fine: a current request is executed once.
+    const auto reply = co_await self.send(msg::Message{}, member);
+    EXPECT_EQ(reply.reply_code(), ReplyCode::kOk);
+    EXPECT_EQ(reply.u32(4), 1u);
+  });
+  EXPECT_EQ(dom.fault_plan(), nullptr);
 }
 
 // --- crash behaviour ---------------------------------------------------------

@@ -117,7 +117,7 @@ TEST_P(GroupStorm, GroupSendsAlwaysResolve) {
       self.join_group(0xAB);
       for (;;) {
         auto env = co_await self.receive();
-        self.reply(msg::make_reply(ReplyCode::kOk), env.sender);
+        self.reply(env, msg::make_reply(ReplyCode::kOk));
       }
     });
   }
