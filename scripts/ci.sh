@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI pipeline: build + tier-1 tests, sanitizers, lint, schedule fuzz, and
-# the checks-compiled-out build.
+# CI pipeline: build + tier-1 tests, sanitizers, lint, schedule fuzz,
+# fault, observability and benchmark gates.
 #
 #   scripts/ci.sh          # plain RelWithDebInfo build + ctest
 #   scripts/ci.sh asan     # Debug + -fsanitize=address,undefined + ctest
@@ -16,10 +16,6 @@
 #   scripts/ci.sh slint    # V-lint static analysis (tools/vlint): tree must
 #                          # be clean, every seeded fixture must fail
 #   scripts/ci.sh fuzz     # 16-seed deterministic schedule-fuzz sweep
-#   scripts/ci.sh chk-off  # V_CHECKS=OFF: tests pass, chk symbols absent,
-#                          # bench numbers bit-identical to the baseline
-#   scripts/ci.sh trace    # V-trace: run the trace example and validate
-#                          # its Chrome JSON
 #   scripts/ci.sh scale    # E14: two smoke days byte-identical, and the full
 #                          # day identical to the checked-in BENCH_scale.json
 #   scripts/ci.sh bench-smoke  # run every bench with --json and validate
@@ -29,7 +25,8 @@
 #                          # the checked-in BENCH_engine.json
 #   scripts/ci.sh fault    # V-fault: 16-seed chaos matrix, recovery bench
 #                          # report identical to BENCH_fault_recovery.json
-#   scripts/ci.sh obs      # V-blackbox: flight-dump example + Perfetto JSON
+#   scripts/ci.sh obs      # V-trace example + Chrome JSON validation,
+#                          # V-blackbox flight-dump example + Perfetto JSON
 #                          # validation, dump determinism, <5% recorder
 #                          # overhead on timer-churn, and a traced run of
 #                          # bench_forwarding bit-identical to an untraced one
@@ -96,8 +93,7 @@ run_lint() {
   while IFS= read -r -d '' f; do
     # Dep scan mirrors the default preset's flags; if it fails the list
     # degrades to just the TU, which only over-lints, never under-lints.
-    h=$( { g++ -std=c++20 -Isrc -DV_CHECKS_ENABLED=1 -MM -MT dep "$f" \
-               2>/dev/null || true
+    h=$( { g++ -std=c++20 -Isrc -MM -MT dep "$f" 2>/dev/null || true
            echo "$f"; } |
          sed 's/^dep://' | tr -d '\\' | tr ' ' '\n' | sed '/^$/d' |
          sort -u | xargs -r sha256sum | sha256sum | cut -d' ' -f1)
@@ -133,35 +129,6 @@ run_fuzz() {
   # Failures print a one-command repro line (V_FUZZ_SEED=0x... ...).
   V_FUZZ_SEEDS=16 ./build/tests/test_schedule_fuzz
   echo "fuzz OK"
-}
-
-run_chk_off() {
-  echo "==> chk-off (V_CHECKS=OFF build)"
-  run_preset chk-off
-  echo "==> chk-off symbol check"
-  # Zero-cost-when-disabled means compiled OUT, not stubbed: no v::chk::
-  # symbol may survive in a linked test binary.
-  if nm -C build-chk-off/tests/test_integration | grep -q 'v::chk::'; then
-    echo "FAIL: v::chk:: symbols present in V_CHECKS=OFF binary" >&2
-    nm -C build-chk-off/tests/test_integration | grep 'v::chk::' | head >&2
-    exit 1
-  fi
-  echo "==> chk-off bench regression check"
-  # The sim is deterministic, so compiling the checks out must not change a
-  # single measured number: the report must be bit-identical to baseline.
-  ./build-chk-off/bench/bench_server_team --json /tmp/bench_chk_off.json \
-    >/dev/null
-  diff BENCH_server_team.json /tmp/bench_chk_off.json
-  echo "chk-off OK"
-}
-
-run_trace() {
-  echo "==> trace (V-trace example + Chrome JSON validation)"
-  cmake --preset default
-  cmake --build --preset default -j "$(nproc)" --target trace_resolution
-  ./build/examples/trace_resolution /tmp/trace_ci.json
-  python3 scripts/check_trace_json.py /tmp/trace_ci.json
-  echo "trace OK"
 }
 
 run_bench_smoke() {
@@ -242,7 +209,7 @@ run_fault() {
   cmake --build --preset default -j "$(nproc)" --target \
     test_fault test_fault_matrix test_crash_replies bench_fault_recovery
   # The loss-rate x crash-schedule x 16-seed chaos sweep, with the race
-  # detector and protocol lint watching (the default build has V_CHECKS=ON).
+  # detector and protocol lint watching (every build compiles them in).
   # Failures print a one-command repro line (V_FUZZ_SEED=0x... ...).
   V_FUZZ_SEEDS=16 ./build/tests/test_fault_matrix
   ./build/tests/test_fault
@@ -269,10 +236,16 @@ run_vbench() {
 }
 
 run_obs() {
-  echo "==> obs (V-blackbox: flight recorder + sampling + overhead gates)"
+  echo "==> obs (V-trace + V-blackbox: trace example, flight recorder,"
+  echo "    sampling + overhead gates)"
   cmake --preset default
   cmake --build --preset default -j "$(nproc)" --target \
-    flight_dump bench_engine bench_forwarding test_obs test_fault_matrix
+    trace_resolution flight_dump bench_engine bench_forwarding test_obs \
+    test_fault_matrix
+
+  echo "==> obs: V-trace example, Chrome JSON validation"
+  ./build/examples/trace_resolution /tmp/trace_ci.json
+  python3 scripts/check_trace_json.py /tmp/trace_ci.json
 
   echo "==> obs: automatic dump on retry exhaustion, Perfetto-loadable"
   ./build/examples/flight_dump /tmp/flight_ci.json
@@ -315,8 +288,6 @@ case "${1:-default}" in
   lint)    run_lint ;;
   slint)   run_slint ;;
   fuzz)    run_fuzz ;;
-  chk-off) run_chk_off ;;
-  trace)   run_trace ;;
   bench-smoke) run_bench_smoke ;;
   scale)   run_scale ;;
   perf)    run_perf ;;
@@ -324,9 +295,9 @@ case "${1:-default}" in
   obs)     run_obs ;;
   vbench)  run_vbench ;;
   all)     run_preset default; run_preset asan; run_sanitize; run_lint
-           run_slint; run_fuzz; run_chk_off; run_trace; run_bench_smoke
+           run_slint; run_fuzz; run_bench_smoke
            run_scale; run_perf; run_fault; run_obs; run_vbench ;;
-  *) echo "usage: $0 [default|asan|sanitize|lint|slint|fuzz|chk-off|trace|bench-smoke|scale|perf|fault|obs|vbench|all]" >&2
+  *) echo "usage: $0 [default|asan|sanitize|lint|slint|fuzz|bench-smoke|scale|perf|fault|obs|vbench|all]" >&2
      exit 2 ;;
 esac
 echo "CI OK"

@@ -4,8 +4,6 @@
 
 #include "chk/alloc_probe.hpp"
 
-#if V_CHECKS_ENABLED
-
 #include <cstdlib>
 #include <new>
 
@@ -109,4 +107,3 @@ void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
 }
 
 #endif  // V_ALLOC_PROBE_INSTALLED
-#endif  // V_CHECKS_ENABLED

@@ -23,12 +23,6 @@
 
 #include <cstdint>
 
-#ifndef V_CHECKS_ENABLED
-#define V_CHECKS_ENABLED 1
-#endif
-
-#if V_CHECKS_ENABLED
-
 namespace v::chk {
 
 struct AllocCounters {
@@ -46,23 +40,3 @@ struct AllocCounters {
 [[nodiscard]] bool alloc_probe_active() noexcept;
 
 }  // namespace v::chk
-
-#else  // V_CHECKS_ENABLED
-
-// Checks-off builds: the probe TU compiles empty and the stock allocator
-// stays in place.  These inline stubs keep callers (the probe test, which
-// skips itself when inactive) compiling against the same API.
-namespace v::chk {
-
-struct AllocCounters {
-  std::uint64_t allocations = 0;
-  std::uint64_t frees = 0;
-  std::uint64_t bytes = 0;
-};
-
-[[nodiscard]] inline AllocCounters alloc_counters() noexcept { return {}; }
-[[nodiscard]] inline bool alloc_probe_active() noexcept { return false; }
-
-}  // namespace v::chk
-
-#endif  // V_CHECKS_ENABLED

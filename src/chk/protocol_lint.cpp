@@ -1,7 +1,5 @@
 #include "chk/protocol_lint.hpp"
 
-#if V_CHECKS_ENABLED
-
 #include <sstream>
 
 #include "msg/csname.hpp"
@@ -262,5 +260,3 @@ void ProtocolLint::check_reply_slow(const msg::Message& reply,
 }
 
 }  // namespace v::chk
-
-#endif  // V_CHECKS_ENABLED

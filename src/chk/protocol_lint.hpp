@@ -15,10 +15,6 @@
 // Context-id resolvability is counted, not rejected: stale cross-server
 // context ids are paper-sanctioned (servers answer kInvalidContext and
 // clients re-resolve), so an unresolvable id is a statistic, never an error.
-//
-// Zero-cost when disabled: with V_CHECKS=OFF every member is an inline
-// no-op and registration accepts (and discards) any arguments without
-// constructing std::function.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +30,6 @@
 #include "common/reply_codes.hpp"
 #include "msg/message.hpp"
 
-#ifndef V_CHECKS_ENABLED
-#define V_CHECKS_ENABLED 1
-#endif
-
 namespace v::chk {
 
 /// Mirror of naming::kMaxNameLength; csnh_server.cpp static_asserts the two
@@ -48,8 +40,6 @@ inline constexpr std::uint32_t kMaxCheckedNameLength = 4096;
 /// against the real enum where common/reply_codes.hpp is in scope.
 inline constexpr std::uint16_t kMaxReplyCode =
     static_cast<std::uint16_t>(v::ReplyCode::kStaleContext);
-
-#if V_CHECKS_ENABLED
 
 /// Decode a message header into a human-readable multi-line dump for
 /// violation reports.
@@ -171,52 +161,5 @@ class ProtocolLint {
   Counters counters_;
   std::string first_dump_;
 };
-
-#else  // !V_CHECKS_ENABLED
-
-inline std::string decode_message(const msg::Message&) { return {}; }
-
-class ProtocolLint {
- public:
-  struct Counters {
-    std::uint64_t requests_checked = 0;
-    std::uint64_t replies_checked = 0;
-    std::uint64_t client_rejects = 0;
-    std::uint64_t server_violations = 0;
-    std::uint64_t stale_context_forwards = 0;
-    std::uint64_t invalid_context_requests = 0;
-    std::uint64_t duplicate_replies = 0;
-    std::uint64_t stale_incarnations = 0;
-  };
-
-  // Variadic templates: call sites pay nothing (no std::function, no
-  // std::string is ever constructed for a discarded registration).
-  template <typename... Args>
-  void register_server(Args&&...) noexcept {}
-  template <typename... Args>
-  void register_worker(Args&&...) noexcept {}
-  void forget(std::uint32_t) noexcept {}
-  void note_forwarded(std::uint32_t, std::uint32_t) noexcept {}
-  void note_unanswered(std::uint32_t, std::uint32_t) noexcept {}
-
-  [[nodiscard]] std::optional<v::ReplyCode> check_request(
-      const msg::Message&, std::uint32_t, std::size_t, std::uint32_t,
-      std::uint64_t) noexcept {
-    return std::nullopt;
-  }
-  void check_reply(const msg::Message&, std::uint32_t, std::uint32_t,
-                   std::uint64_t) noexcept {}
-
-  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
-  [[nodiscard]] const std::string& first_dump() const noexcept {
-    return first_dump_;
-  }
-
- private:
-  Counters counters_;
-  std::string first_dump_;
-};
-
-#endif  // V_CHECKS_ENABLED
 
 }  // namespace v::chk

@@ -1,4 +1,15 @@
-// V-check layer 1 (front end): annotation wrappers for shared server state.
+// V-check layer 1: the sim race detector for shared server state
+// (DESIGN.md 4e).
+//
+// The whole simulation is one OS thread, so ThreadSanitizer is structurally
+// blind to cross-process sharing violations: two sim processes "race" when
+// one mutates shared server state that another still relies on across a
+// suspension point.  CellState records who is reading/writing which shared
+// cell between yield points; violations surface as RaceError thrown in the
+// offending fiber, whose report names both sim processes, the cell and the
+// sim timestamps involved.  (The other half of the detector, the gate check
+// on (ctx, leaf) name-space mutations, reads the server's own gate table:
+// CsnhServer::note_name_write.)
 //
 // SharedCell<T> wraps a piece of state shared between cooperatively
 // scheduled sim processes (a server's instance table, a team's work queue,
@@ -13,21 +24,96 @@
 // the common case and can never conflict: the simulation is single-threaded
 // between yield points.  The detector's whole job is catching accesses
 // that — deliberately or by refactoring accident — span a suspension.
-//
-// Zero-cost when disabled: AccessGuard and the handles collapse to a bare
-// pointer wrapper; SharedCell<T> stores only the T.
 #pragma once
 
+#include <cstdint>
+#include <iterator>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
-#include "chk/ledger.hpp"
 #include "ipc/kernel.hpp"
 
 namespace v::chk {
 
-#if V_CHECKS_ENABLED
+/// Thrown in the violating fiber when the race detector finds a sharing
+/// violation.  The message is the full report; it propagates out of the
+/// fiber and lands in Domain::first_failure() for tests to assert on.
+struct RaceError : std::runtime_error {
+  explicit RaceError(const std::string& report)
+      : std::runtime_error(report) {}
+};
+
+/// Reader/writer bookkeeping for one shared cell (a server table, queue or
+/// buffer).  Accesses are registered through AccessGuard (below);
+/// an access that stays registered across a suspension point conflicts with
+/// any overlapping access by a DIFFERENT sim process.  Same-process
+/// accesses never conflict (one fiber cannot race itself) and may nest.
+class CellState {
+ public:
+  explicit CellState(std::string_view label) : label_(label) {}
+
+  /// The access that an attempted begin_read/begin_write collided with.
+  struct Conflict {
+    std::uint32_t pid = 0;
+    std::uint64_t since = 0;
+    bool writer = false;
+  };
+
+  /// Register a reader.  Fails (returns the conflicting access, registers
+  /// nothing) when another process has an outstanding write.
+  [[nodiscard]] std::optional<Conflict> begin_read(std::uint32_t pid,
+                                                   std::uint64_t now) {
+    for (const Access& w : writers_) {
+      if (w.pid != pid) return Conflict{w.pid, w.since, true};
+    }
+    readers_.push_back(Access{pid, now});
+    return std::nullopt;
+  }
+
+  void end_read(std::uint32_t pid) { unregister(readers_, pid); }
+
+  /// Register a writer.  Fails when another process has an outstanding
+  /// read OR write (write/write and read/write are both races).
+  [[nodiscard]] std::optional<Conflict> begin_write(std::uint32_t pid,
+                                                    std::uint64_t now) {
+    for (const Access& w : writers_) {
+      if (w.pid != pid) return Conflict{w.pid, w.since, true};
+    }
+    for (const Access& r : readers_) {
+      if (r.pid != pid) return Conflict{r.pid, r.since, false};
+    }
+    writers_.push_back(Access{pid, now});
+    return std::nullopt;
+  }
+
+  void end_write(std::uint32_t pid) { unregister(writers_, pid); }
+
+  [[nodiscard]] const std::string& label() const noexcept { return label_; }
+
+ private:
+  struct Access {
+    std::uint32_t pid = 0;
+    std::uint64_t since = 0;
+  };
+
+  static void unregister(std::vector<Access>& list, std::uint32_t pid) {
+    for (auto it = list.rbegin(); it != list.rend(); ++it) {
+      if (it->pid == pid) {
+        list.erase(std::next(it).base());
+        return;
+      }
+    }
+  }
+
+  std::string label_;
+  std::vector<Access> readers_;
+  std::vector<Access> writers_;
+};
 
 /// Registers one read or write access for its lifetime; throws RaceError
 /// from the constructor when the access conflicts with an outstanding
@@ -136,59 +222,5 @@ class SharedCell {
   mutable CellState state_;
   T value_{};
 };
-
-#else  // !V_CHECKS_ENABLED — handles are bare pointers, no bookkeeping.
-
-class AccessGuard {
- public:
-  enum class Mode { kRead, kWrite };
-  AccessGuard(const ipc::Process&, CellState&, Mode) noexcept {}
-  AccessGuard(const AccessGuard&) = delete;
-  AccessGuard& operator=(const AccessGuard&) = delete;
-};
-
-template <typename T>
-class SharedCell {
- public:
-  explicit SharedCell(std::string_view) noexcept {}
-
-  class Reader {
-   public:
-    Reader(const ipc::Process&, const SharedCell& cell) noexcept
-        : value_(&cell.value_) {}
-    Reader(const Reader&) = delete;
-    Reader& operator=(const Reader&) = delete;
-    [[nodiscard]] const T& operator*() const noexcept { return *value_; }
-    [[nodiscard]] const T* operator->() const noexcept { return value_; }
-   private:
-    const T* value_;
-  };
-
-  class Writer {
-   public:
-    Writer(const ipc::Process&, SharedCell& cell) noexcept
-        : value_(&cell.value_) {}
-    Writer(const Writer&) = delete;
-    Writer& operator=(const Writer&) = delete;
-    [[nodiscard]] T& operator*() const noexcept { return *value_; }
-    [[nodiscard]] T* operator->() const noexcept { return value_; }
-   private:
-    T* value_;
-  };
-
-  [[nodiscard]] Reader read(const ipc::Process& self) const noexcept {
-    return Reader(self, *this);
-  }
-  [[nodiscard]] Writer write(const ipc::Process& self) noexcept {
-    return Writer(self, *this);
-  }
-  [[nodiscard]] T& raw() noexcept { return value_; }
-  [[nodiscard]] const T& raw() const noexcept { return value_; }
-
- private:
-  T value_{};
-};
-
-#endif  // V_CHECKS_ENABLED
 
 }  // namespace v::chk

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "chk/ledger.hpp"
 #include "common/flat_map.hpp"
 #include "chk/protocol_lint.hpp"
 #include "common/result.hpp"
@@ -501,9 +500,6 @@ class Domain {
     return first_failure_;
   }
 
-  /// V-check race-detector ledger (gate holders + shared-cell accesses).
-  /// A no-op shell when built with V_CHECKS=OFF.
-  [[nodiscard]] chk::Ledger& checks() noexcept { return checks_; }
   /// V-check protocol conformance lint at the Send/Reply boundary.
   [[nodiscard]] chk::ProtocolLint& lint() noexcept { return lint_; }
   [[nodiscard]] const chk::ProtocolLint& lint() const noexcept {
@@ -720,7 +716,6 @@ class Domain {
   std::uint32_t name_generation_ = 0;
   std::size_t failures_ = 0;
   std::string first_failure_;
-  chk::Ledger checks_;
   chk::ProtocolLint lint_;
   obs::TraceSink tracer_;
   obs::MetricsRegistry metrics_;

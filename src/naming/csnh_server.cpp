@@ -137,9 +137,8 @@ sim::Co<void> CsnhServer::run(ipc::Process self) {
   // dropped and re-resolved on first use.
   reset_metric_handles();
   // Re-spawn safety (crash + restart reuses the server object): drop any
-  // backlog and gate state the previous incarnation left behind — in the
-  // race-detector ledger too (the previous incarnation's holders are
-  // meaningless).
+  // backlog and gate state the previous incarnation left behind (its gate
+  // holders are meaningless to the race detector).
   work_queue_.raw().clear();
   gates_.clear();
   // Fresh incarnation, fresh generation floor: every generation a client
@@ -147,17 +146,14 @@ sim::Co<void> CsnhServer::run(ipc::Process self) {
   // this pid before) is now strictly below the floor and must mismatch.
   generations_.clear();
   gen_floor_ = self.domain().next_name_generation();
-  if constexpr (chk::enabled()) {
-    self.domain().checks().forget_server(this);
-    // gen_floor_ doubles as the incarnation floor: the lint asserts each
-    // re-registration under this label starts strictly above the last.
-    self.domain().lint().register_server(
-        pid_.raw, self.domain().process_name(pid_),
-        [this](std::uint32_t ctx) {
-          return context_valid(translate_context(ctx));
-        },
-        gen_floor_);
-  }
+  // gen_floor_ doubles as the incarnation floor: the lint asserts each
+  // re-registration under this label starts strictly above the last.
+  self.domain().lint().register_server(
+      pid_.raw, self.domain().process_name(pid_),
+      [this](std::uint32_t ctx) {
+        return context_valid(translate_context(ctx));
+      },
+      gen_floor_);
   // (Re)join the service group: a restarted incarnation becomes reachable
   // by recovery probes the moment it is back, under its brand-new pid.
   if (service_group_ != 0) self.join_group(service_group_);
@@ -214,12 +210,10 @@ sim::Co<void> CsnhServer::run(ipc::Process self) {
 }
 
 sim::Co<void> CsnhServer::worker_loop(ipc::Process self) {
-  if constexpr (chk::enabled()) {
-    // server_pid ties the worker's replies to the receptionist's
-    // outstanding-request ledger (requests arrive at pid_, workers answer).
-    self.domain().lint().register_worker(
-        self.pid().raw, self.domain().process_name(self.pid()), pid_.raw);
-  }
+  // server_pid ties the worker's replies to the receptionist's
+  // outstanding-request ledger (requests arrive at pid_, workers answer).
+  self.domain().lint().register_worker(
+      self.pid().raw, self.domain().process_name(self.pid()), pid_.raw);
   for (;;) {
     while (work_queue_.read(self)->empty()) {
       co_await self.wait_on(work_ready_);
@@ -266,11 +260,8 @@ std::uint64_t CsnhServer::GateLock::key_hash() const noexcept {
   return h;
 }
 
-void CsnhServer::GateLock::note_acquired() const {
-  domain_.checks().gate_acquired(
-      &server_, key_.first, key_.second, pid_.raw,
-      static_cast<std::uint64_t>(domain_.loop().now()));
-  Gate& gate = server_.gates_[key_];
+void CsnhServer::GateLock::note_acquired(Gate& gate) const {
+  gate.holder = pid_;
   gate.held_since = domain_.loop().now();
   domain_.flight().record(pid_.logical_host(), obs::FlightKind::kGateAcquire,
                           gate.held_since, pid_.raw, 0, 0, key_hash());
@@ -278,10 +269,9 @@ void CsnhServer::GateLock::note_acquired() const {
 
 bool CsnhServer::GateLock::await_ready() {
   Gate& gate = server_.gates_[key_];
-  if (!gate.held) {
-    gate.held = true;
+  if (!gate.holder.valid()) {
     acquired_ = true;
-    note_acquired();
+    note_acquired(gate);
     return true;  // uncontended: acquire without suspending
   }
   return false;
@@ -305,7 +295,9 @@ CsnhServer::GateLock::~GateLock() {
     // Died while still waiting: unlink so the releaser never grants a
     // destroyed frame.
     std::erase(gate.waiters, this);
-    if (!gate.held && gate.waiters.empty()) server_.gates_.erase(it);
+    if (!gate.holder.valid() && gate.waiters.empty()) {
+      server_.gates_.erase(it);
+    }
     return;
   }
   {
@@ -331,14 +323,13 @@ CsnhServer::GateLock::~GateLock() {
     next->queued_ = false;
     next->acquired_ = true;  // ownership transfers even if killed: its
                              // resume throws and ITS destructor re-releases
-    next->note_acquired();   // ledger: holder changes hands, no gap
+    next->note_acquired(gate);  // holder changes hands, no gap
     domain_.loop().schedule_after(0, [h = next->handle_, f = next->fiber_] {
       sim::FiberRunScope scope(f);
       h.resume();
     });
     return;
   }
-  domain_.checks().gate_released(&server_, key_.first, key_.second);
   server_.gates_.erase(it);
 }
 
@@ -811,30 +802,27 @@ void CsnhServer::bump_generation(ipc::Process& self, ContextId ctx) {
   generations_[ctx] = self.domain().next_name_generation();
 }
 
-#if V_CHECKS_ENABLED
-void CsnhServer::note_name_write_impl(ipc::Process& self, ContextId ctx,
-                                      std::string_view leaf) {
+void CsnhServer::note_name_write(ipc::Process& self, ContextId ctx,
+                                 std::string_view leaf) {
+  const auto it = gates_.find(GateKey{ctx, std::string(leaf)});
+  const Gate* gate = it == gates_.end() ? nullptr : &it->second;
+  if (gate != nullptr && gate->holder == self.pid()) return;
   ipc::Domain& dom = self.domain();
-  const auto violation =
-      dom.checks().check_gated_write(this, ctx, leaf, self.pid().raw);
-  if (!violation) return;
   std::ostringstream out;
   out << "race detector: ungated (ctx,leaf) mutation on server '"
       << dom.process_name(pid_) << "': process '"
       << dom.process_name(self.pid()) << "' (pid " << self.pid().raw
       << ") mutated (" << ctx << ", \"" << leaf << "\") at t="
       << dom.loop().now();
-  if (violation->holder_pid != 0) {
-    out << " while process '"
-        << dom.process_name(ipc::ProcessId{violation->holder_pid})
-        << "' (pid " << violation->holder_pid
-        << ") has held the mutation gate since t=" << violation->holder_since;
+  if (gate != nullptr && gate->holder.valid()) {
+    out << " while process '" << dom.process_name(gate->holder) << "' (pid "
+        << gate->holder.raw << ") has held the mutation gate since t="
+        << gate->held_since;
   } else {
     out << " without any process holding the mutation gate";
   }
   throw chk::RaceError(out.str());
 }
-#endif  // V_CHECKS_ENABLED
 
 sim::Co<msg::Message> CsnhServer::do_inverse_name(ipc::Process& self,
                                                   ipc::Envelope& env,

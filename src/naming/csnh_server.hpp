@@ -35,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "chk/ledger.hpp"
 #include "chk/shared_cell.hpp"
 #include "common/flat_map.hpp"
 #include "common/result.hpp"
@@ -330,20 +329,12 @@ class CsnhServer {
   [[nodiscard]] io::InstanceTable& instances() noexcept { return instances_; }
 
   /// Race-detector annotation (V-check layer 1): every hook body that
-  /// mutates the name space under (ctx, leaf) calls this first.  Verifies
-  /// the calling process holds the matching (ctx, leaf) mutation gate and
-  /// throws chk::RaceError naming both processes when it does not.
-  /// Compiles to nothing with V_CHECKS=OFF.
+  /// mutates the name space under (ctx, leaf) calls this first.  Verifies,
+  /// against this server's own gate table, that the calling process holds
+  /// the matching (ctx, leaf) mutation gate and throws chk::RaceError
+  /// naming both processes when it does not.
   void note_name_write(ipc::Process& self, ContextId ctx,
-                       std::string_view leaf) {
-#if V_CHECKS_ENABLED
-    note_name_write_impl(self, ctx, leaf);
-#else
-    (void)self;
-    (void)ctx;
-    (void)leaf;
-#endif
-  }
+                       std::string_view leaf);
 
   /// Advance `ctx`'s generation (next value of the domain-wide sequence).
   /// The base calls this after every successful gated mutation; subclasses
@@ -400,7 +391,7 @@ class CsnhServer {
   using GateKey = std::pair<ContextId, std::string>;
   struct GateLock;
   struct Gate {
-    bool held = false;
+    ipc::ProcessId holder;          ///< current holder; invalid when free
     sim::SimTime held_since = 0;    ///< acquisition time of current holder
     std::deque<GateLock*> waiters;  ///< FIFO grant order
   };
@@ -410,8 +401,8 @@ class CsnhServer {
   /// next waiter.  Kill-safe: a waiter resumed after its fiber was killed
   /// throws FiberKilled; a waiter destroyed while still queued (fiber
   /// unwound without resume) unlinks itself.  Every acquisition (including
-  /// FIFO handoff) and the final release are mirrored into the domain's
-  /// race-detector ledger, keyed on (&server, ctx, leaf).
+  /// FIFO handoff) records the new holder on the Gate, which is what
+  /// note_name_write checks.
   struct GateLock {
     GateLock(CsnhServer& server, ipc::Domain& domain,
              sim::FiberState* fiber, GateKey key,
@@ -426,8 +417,8 @@ class CsnhServer {
     void await_suspend(std::coroutine_handle<> h);
     void await_resume() const;
 
-    /// Record this lock's process as the gate holder in the ledger.
-    void note_acquired() const;
+    /// Record this lock's process as `gate`'s holder.
+    void note_acquired(Gate& gate) const;
 
     /// Stable hash of the (ctx, leaf) key — the flight recorder's gate
     /// identity (FNV-1a, so dumps are identical across hosts/builds).
@@ -460,9 +451,6 @@ class CsnhServer {
   /// Pop the front work-queue envelope (called with the queue non-empty;
   /// no suspension between the caller's emptiness check and this pop).
   ipc::Envelope take_work(ipc::Process& self);
-  /// Out-of-line body of note_name_write (built only with V_CHECKS=ON).
-  void note_name_write_impl(ipc::Process& self, ContextId ctx,
-                            std::string_view leaf);
   sim::Co<msg::Message> do_open(ipc::Process& self, ipc::Envelope& env,
                                 ContextId ctx, std::string_view leaf,
                                 std::uint16_t mode);

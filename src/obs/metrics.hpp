@@ -33,10 +33,9 @@ namespace v::obs {
 /// HdrHistogram-style log-bucketed histogram: 16 linear sub-buckets per
 /// power-of-two octave over a 64-bit value range, so record() is a couple
 /// of bit operations into a fixed ~7.6 KiB table and percentile reads
-/// carry at most 1/16 ≈ 6.25% relative error.  This replaced the metrics
-/// registry's sim::Accumulator in PR 8: storing every sample and sorting
-/// per read is fine for a 20-row bench table and fatal for millions of
-/// E12 opens.  Values are non-negative doubles (typically simulated
+/// carry at most 1/16 ≈ 6.25% relative error.  Storing every sample and
+/// sorting per read would be fine for a 20-row bench table and fatal for
+/// millions of E12 opens.  Values are non-negative doubles (typically simulated
 /// milliseconds), quantized to 1/1024 of the input unit (~1 µs for ms).
 ///
 /// A header-only value type with no registry ties: bench and workload

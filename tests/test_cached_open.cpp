@@ -235,8 +235,6 @@ TEST(CachedOpen, WrongExpectedGenerationAnswersStaleContext) {
   EXPECT_EQ(fx.dom.lint().counters().client_rejects, 0u);
 }
 
-#if V_CHECKS_ENABLED
-
 TEST(CachedOpen, UnknownCsFlagBitsRejectedByLint) {
   VFixture fx;
   fx.run_client([&fx](ipc::Process self, svc::Rt /*rt*/) -> Co<void> {
@@ -276,8 +274,6 @@ TEST(CachedOpen, GenerationBytesWithoutFlagRejectedByLint) {
             std::string::npos)
       << fx.dom.lint().first_dump();
 }
-
-#endif  // V_CHECKS_ENABLED
 
 // --- observability ----------------------------------------------------------------
 

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "chk/ledger.hpp"
 #include "common/log.hpp"
 #include "msg/request_codes.hpp"
 #include "naming/protocol.hpp"
@@ -284,13 +283,9 @@ TEST(Metrics, LintCountersMirroredIntoRegistry) {
   });
   fx.dom.run();
   ASSERT_EQ(fx.dom.process_failures(), 0u);
-  // The protocol-lint accessors keep working AND the registry mirrors them
-  // (with V_CHECKS=OFF both legitimately read zero — the mirror must still
-  // agree).
+  // The protocol-lint accessors keep working AND the registry mirrors them.
   const auto& lint = fx.dom.lint().counters();
-  if (chk::enabled()) {
-    EXPECT_GT(lint.requests_checked, 0u);
-  }
+  EXPECT_GT(lint.requests_checked, 0u);
   const auto mirrored = fx.dom.metrics().value_text("lint",
                                                     "requests_checked");
   ASSERT_TRUE(mirrored.has_value());

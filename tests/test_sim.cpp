@@ -7,7 +7,6 @@
 #include "sim/awaitables.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/random.hpp"
-#include "sim/stats.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -213,60 +212,7 @@ TEST(Waker, WakeResumesParkedCoroutine) {
   EXPECT_EQ(loop.now(), 3 * kMillisecond);
 }
 
-// --- stats / rng ----------------------------------------------------------
-
-TEST(Stats, SummaryStatistics) {
-  Accumulator acc;
-  for (double s : {1.0, 2.0, 3.0, 4.0, 5.0}) acc.add(s);
-  EXPECT_EQ(acc.count(), 5u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 1.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 5.0);
-  EXPECT_DOUBLE_EQ(acc.percentile(0.5), 3.0);
-  EXPECT_NEAR(acc.stddev(), 1.4142, 1e-3);
-}
-
-TEST(Stats, SingleSampleEveryQuantile) {
-  Accumulator acc;
-  acc.add(42.0);
-  EXPECT_EQ(acc.count(), 1u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 42.0);
-  EXPECT_DOUBLE_EQ(acc.stddev(), 0.0);
-  // With n=1 every quantile is the lone sample.
-  for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(acc.percentile(q), 42.0) << "q=" << q;
-  }
-}
-
-TEST(Stats, TwoSampleQuantileInterpolates) {
-  Accumulator acc;
-  acc.add(20.0);  // out of order on purpose: percentile sorts
-  acc.add(10.0);
-  // Linear interpolation between the order statistics: the p50 of two
-  // samples is their midpoint, not their max (the pre-PR 8 nearest-rank
-  // rounding overstated every two-repeat median).
-  EXPECT_DOUBLE_EQ(acc.percentile(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(acc.percentile(0.49), 14.9);
-  EXPECT_DOUBLE_EQ(acc.percentile(0.5), 15.0);
-  EXPECT_DOUBLE_EQ(acc.percentile(1.0), 20.0);
-}
-
-TEST(Stats, InterpolatedQuantileLandsOnExactRanks) {
-  Accumulator acc;
-  for (double s : {1.0, 2.0, 3.0, 4.0, 5.0}) acc.add(s);
-  // q*(n-1) integral → the exact order statistic, no interpolation.
-  EXPECT_DOUBLE_EQ(acc.percentile(0.25), 2.0);
-  EXPECT_DOUBLE_EQ(acc.percentile(0.75), 4.0);
-  // Between ranks: linear in q.
-  EXPECT_DOUBLE_EQ(acc.percentile(0.875), 4.5);
-}
-
-TEST(Stats, ExtremeQuantilesAreMinAndMax) {
-  Accumulator acc;
-  for (double s : {7.0, 3.0, 9.0, 1.0, 5.0}) acc.add(s);
-  EXPECT_DOUBLE_EQ(acc.percentile(0.0), acc.min());
-  EXPECT_DOUBLE_EQ(acc.percentile(1.0), acc.max());
-}
+// --- rng ----------------------------------------------------------------
 
 TEST(Rng, DeterministicForSeed) {
   Rng a(7), b(7), c(8);
