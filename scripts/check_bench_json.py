@@ -48,8 +48,9 @@ not noise).  --max-regression tightens or loosens that fraction, and
 NEW's events_per_wall_second must be within --max-regression of BASE's.
 The obs stage uses this for the flight-recorder gate
 (--max-regression 0.05 --overhead timer-churn:timer-churn-flight):
-both workloads run back to back in one process, so the ratio isolates
-the recorder's cost from cross-run machine noise.
+bench_engine --flight runs the two as interleaved pairs in one process
+and reports them so that their events/s ratio is the median per-pair
+ratio, which isolates the recorder's cost from machine noise.
 """
 import json
 import sys

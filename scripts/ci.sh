@@ -259,11 +259,12 @@ run_obs() {
   echo "==> obs: recorder overhead gate (<5% events/s on timer-churn)"
   # The always-on claim, measured where it hurts most: timer-churn is
   # nothing but event dispatches, and --flight re-runs it with the
-  # recorder's fire hook attached to every one of them.  Both workloads
-  # run back to back in ONE process (median of 5), so the ratio bounds
-  # hook + record() cost itself, not cross-run machine noise; the
-  # checked-in BENCH_engine.json still gates absolute speed at 25% in
-  # the perf stage.
+  # recorder's fire hook attached to every one of them.  The two run as
+  # 21 back-to-back pairs in ONE process, alternating which goes first;
+  # the gate reads the MEDIAN per-pair flight/plain wall ratio, which
+  # bounds hook + record() cost itself, not a busy neighbour (a min of
+  # 5 read +-8% on an unchanged tree).  The checked-in BENCH_engine.json
+  # still gates absolute speed at 25% in the perf stage.
   ./build/bench/bench_engine --flight --repeat 5 \
     --json /tmp/bench_engine_flight.json >/dev/null
   python3 scripts/check_bench_json.py --max-regression 0.05 \

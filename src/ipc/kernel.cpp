@@ -16,18 +16,6 @@ namespace v::ipc {
 // Process
 // ---------------------------------------------------------------------------
 
-V_HOT_PATH
-detail::ProcessRecord& Process::record() const {
-  auto* rec = domain_->find(pid_);
-  V_CHECK(rec != nullptr);
-  return *rec;
-}
-
-V_HOT_PATH
-sim::FiberState* Process::fiber_state() const {
-  return record().fiber_state;
-}
-
 sim::SimTime Process::now() const noexcept { return domain_->now(); }
 
 const CalibrationParams& Process::params() const noexcept {
@@ -386,7 +374,7 @@ ProcessId Host::spawn(std::string name,
                       std::function<sim::Co<void>(Process)> body) {
   V_CHECK(alive_);
   auto& rec = domain_.create_record(*this, std::move(name));
-  Process handle(&domain_, rec.pid);
+  Process handle(&domain_, &rec);
   std::string label = rec.name;
   Domain* dom = &domain_;
   rec.body_keepalive = std::move(body);

@@ -229,11 +229,15 @@ struct Registration {
 }  // namespace detail
 
 /// Handle a process body uses to invoke kernel primitives.  Cheap to copy;
-/// remains valid for the lifetime of the Domain (records are retained).
+/// remains valid for the lifetime of the Domain (records are retained, so
+/// the handle carries its record's address instead of looking the pid up).
 class Process {
  public:
-  Process(Domain* domain, ProcessId pid) noexcept
-      : domain_(domain), pid_(pid) {}
+  /// An unbound handle (no domain, invalid pid): a placeholder that must
+  /// be assigned a real handle before any primitive is invoked.
+  Process() noexcept = default;
+  Process(Domain* domain, detail::ProcessRecord* record) noexcept
+      : domain_(domain), record_(record), pid_(record->pid) {}
 
   [[nodiscard]] ProcessId pid() const noexcept { return pid_; }
   [[nodiscard]] Domain& domain() const noexcept { return *domain_; }
@@ -348,12 +352,17 @@ class Process {
   /// awaitables built outside the kernel (server-team gates and wait
   /// queues) capture it so a resume after kill throws FiberKilled.  Raw
   /// pointer: the state outlives every pending event (awaitables.hpp).
-  [[nodiscard]] sim::FiberState* fiber_state() const;
+  V_HOT_PATH
+  [[nodiscard]] sim::FiberState* fiber_state() const noexcept {
+    return record_->fiber_state;
+  }
 
  private:
-  detail::ProcessRecord& record() const;
+  V_HOT_PATH
+  detail::ProcessRecord& record() const noexcept { return *record_; }
 
-  Domain* domain_;
+  Domain* domain_ = nullptr;
+  detail::ProcessRecord* record_ = nullptr;
   ProcessId pid_;
 };
 

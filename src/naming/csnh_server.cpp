@@ -324,10 +324,8 @@ CsnhServer::GateLock::~GateLock() {
     next->acquired_ = true;  // ownership transfers even if killed: its
                              // resume throws and ITS destructor re-releases
     next->note_acquired(gate);  // holder changes hands, no gap
-    domain_.loop().schedule_after(0, [h = next->handle_, f = next->fiber_] {
-      sim::FiberRunScope scope(f);
-      h.resume();
-    });
+    ++server_.gate_handoffs_;
+    domain_.loop().resume_after(0, next->handle_, next->fiber_);
     return;
   }
   server_.gates_.erase(it);
@@ -567,12 +565,14 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
   // 5. Dispatch the operation against (ctx, leaf).  Mutating operations
   //    first acquire the (ctx, leaf) gate so concurrent team workers apply
   //    them one at a time, in FIFO grant order; read-only operations skip
-  //    the gate and run fully parallel.  Held until co_return (the lock is
-  //    released by ~GateLock when this frame unwinds, after the reply).
-  GateLock gate(*this, self.domain(), self.fiber_state(),
-                GateKey{ctx, std::string(leaf)}, self.pid());
+  //    the gate and run fully parallel — they never build a lock (no key
+  //    copy, no gate lookup on release).  Held until co_return (the lock
+  //    is released by ~GateLock when this frame unwinds, after the reply).
+  std::optional<GateLock> gate;
   if (mutates_name(code, msg::cs::mode(env.request))) {
-    co_await gate;
+    GateLock& lock = gate.emplace(*this, self.domain(), self.fiber_state(),
+                                  GateKey{ctx, std::string(leaf)}, self.pid());
+    co_await lock;
   }
   Message reply;
   switch (code) {

@@ -104,6 +104,12 @@ class CsnhServer {
   /// Requests shed with kBusy because the work queue was at queue_cap.
   [[nodiscard]] std::uint64_t shed_count() const noexcept { return sheds_; }
 
+  /// Mutation gates granted by FIFO handoff: a releasing holder passed the
+  /// gate to a waiter that had queued behind it.
+  [[nodiscard]] std::uint64_t gate_handoffs() const noexcept {
+    return gate_handoffs_;
+  }
+
   /// Current generation of `ctx` in this incarnation of the server.  Every
   /// gated name-space mutation bumps the affected context's generation; the
   /// values are drawn from the DOMAIN-wide monotone sequence, so no
@@ -495,6 +501,7 @@ class CsnhServer {
   chk::SharedCell<std::deque<ipc::Envelope>> work_queue_{"team.work_queue"};
   sim::WaitQueue work_ready_;             ///< idle workers park here
   std::uint64_t sheds_ = 0;
+  std::uint64_t gate_handoffs_ = 0;
   std::map<GateKey, Gate> gates_;
   std::string metrics_scope_;  ///< registry scope = process name (set in run)
   ipc::GroupId service_group_ = 0;  ///< joined on (re)start when nonzero

@@ -15,6 +15,7 @@
 // in [metrics] instead of silently eating throughput.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -67,6 +68,23 @@ class InlineAction {
   V_HOT_PATH
   void operator()() { ops_->invoke(buf_); }
 
+  /// Construct `fn` in place in this EMPTY action (the event loop builds
+  /// every scheduled callable directly in its slab node this way).
+  template <typename F>
+  void emplace(F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, Fn&>);
+    assert(ops_ == nullptr);
+    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= kInlineAlign &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+      ops_ = &kInlineOps<Fn>;
+    } else {
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(fn)));
+      ops_ = &kHeapOps<Fn>;
+    }
+  }
+
  private:
   /// Per-callable-type vtable: one static instance per instantiation.
   /// `relocate` moves the payload into a fresh buffer AND destroys the
@@ -112,20 +130,6 @@ class InlineAction {
       /*trivial_size=*/0,
       /*inline_storage=*/false,
   };
-
-  template <typename F>
-  void emplace(F&& fn) {
-    using Fn = std::decay_t<F>;
-    static_assert(std::is_invocable_r_v<void, Fn&>);
-    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= kInlineAlign &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(fn)));
-      ops_ = &kHeapOps<Fn>;
-    }
-  }
 
   V_HOT_PATH
   void move_from(InlineAction& other) noexcept {

@@ -34,10 +34,7 @@ class DelayAwaiter {
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
-    loop_.schedule_after(delay_, [h, f = fiber_] {
-      FiberRunScope scope(f);
-      h.resume();
-    });
+    loop_.resume_after(delay_, h, fiber_);
   }
   void await_resume() const {
     if (fiber_ != nullptr && fiber_->killed) throw FiberKilled{};
@@ -64,21 +61,13 @@ class Waker {
   V_HOT_PATH
   void wake(EventLoop& loop) {
     V_CHECK(handle_ != nullptr);
-    auto h = std::exchange(handle_, nullptr);
-    loop.schedule_after(0, [h, f = fiber_] {
-      FiberRunScope scope(f);
-      h.resume();
-    });
+    loop.resume_after(0, std::exchange(handle_, nullptr), fiber_);
   }
 
   /// Resume the parked fiber `delay` from now.
   void wake_after(EventLoop& loop, SimDuration delay) {
     V_CHECK(handle_ != nullptr);
-    auto h = std::exchange(handle_, nullptr);
-    loop.schedule_after(delay, [h, f = fiber_] {
-      FiberRunScope scope(f);
-      h.resume();
-    });
+    loop.resume_after(delay, std::exchange(handle_, nullptr), fiber_);
   }
 
   [[nodiscard]] bool armed() const noexcept { return handle_ != nullptr; }

@@ -60,10 +60,7 @@ class WaitQueue {
       Parked p = std::move(waiters_.front());
       waiters_.pop_front();
       if (p.fiber != nullptr && p.fiber->killed) continue;
-      loop.schedule_after(0, [h = p.handle, f = p.fiber] {
-        FiberRunScope scope(f);
-        h.resume();
-      });
+      loop.resume_after(0, p.handle, p.fiber);
       return;
     }
   }

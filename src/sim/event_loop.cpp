@@ -51,28 +51,12 @@ std::uint64_t EventLoop::tie_key(std::uint64_t seq) const noexcept {
   return fuzz_ ? mix64(fuzz_seed_ ^ mix64(seq)) : seq;
 }
 
-V_HOT_PATH
-std::uint32_t EventLoop::alloc_node(Action&& action) {
-  std::uint32_t idx = free_head_;
-  if (idx != kNilNode) {
-    free_head_ = node(idx).next;
-  } else {
-    idx = slab_used_++;
-    if ((idx >> kChunkBits) == chunks_.size()) {
-      // Slab chunk growth: rare and amortized, the steady state reuses
-      // freed nodes.
-      chunks_.push_back(  // vlint: allow(hot-path-alloc): cold growth branch
-          std::make_unique<Node[]>(std::size_t{1} << kChunkBits));
-    }
+std::uint32_t EventLoop::fresh_node() {
+  const std::uint32_t idx = slab_used_++;
+  if ((idx >> kChunkBits) == chunks_.size()) {
+    chunks_.push_back(std::make_unique<Node[]>(std::size_t{1} << kChunkBits));
   }
-  node(idx).action = std::move(action);
   return idx;
-}
-
-V_HOT_PATH
-void EventLoop::free_node(std::uint32_t idx) noexcept {
-  node(idx).next = free_head_;
-  free_head_ = idx;
 }
 
 V_HOT_PATH
@@ -118,16 +102,23 @@ void EventLoop::wheel_insert(const Key& key) {
 }
 
 V_HOT_PATH
-void EventLoop::schedule_at(SimTime at, Action action) {
+void EventLoop::enqueue(SimTime at, std::uint32_t idx) {
   if (at < now_) at = now_;
   const std::uint64_t seq = next_seq_++;
-  if (action.is_inline()) {
-    ++stats_.actions_inline;
-  } else {
-    ++stats_.actions_heap;
-  }
-  const Key key{at, tie_key(seq), seq, alloc_node(std::move(action))};
   ++pending_;
+  if (at == now_ && !fuzz_) {
+    // Same-instant lane: every pending event at now() was scheduled
+    // earlier (smaller seq), every later arrival at now() queues behind.
+    node(idx).next = kNilNode;
+    if (lane_tail_ == kNilNode) {
+      lane_head_ = idx;
+    } else {
+      node(lane_tail_).next = idx;
+    }
+    lane_tail_ = idx;
+    return;
+  }
+  const Key key{at, tie_key(seq), seq, idx};
   if (tick_of(at) <= cur_tick_) {
     // At or behind the cursor (same tick as the events being drained):
     // straight into the due heap, where the (at, tie, seq) key slots it
@@ -239,19 +230,17 @@ void EventLoop::advance() {
 }
 
 V_HOT_PATH
-bool EventLoop::step_untimed() {
-  if (due_.empty()) {
-    if (pending_ == 0) return false;
-    advance();
-  }
-  const Key key = pop_due();
-  --pending_;
-  // Move the action out and retire its node BEFORE running it: whatever
-  // the action schedules reuses the just-freed node, keeping the hot
+void EventLoop::fire(std::uint32_t idx, SimTime at) {
+  Node& n = node(idx);
+  // Take the payload out and retire the node BEFORE running it: whatever
+  // the event schedules reuses the just-freed node, keeping the hot
   // self-rescheduling path inside one warm slab line.
-  Action action = std::move(node(key.node).action);
-  free_node(key.node);
-  now_ = key.at;
+  const std::coroutine_handle<> h = std::exchange(n.resume, nullptr);
+  FiberState* const fiber = n.fiber;
+  Action action;
+  if (!h) action = std::move(n.action);
+  free_node(idx);
+  now_ = at;
   ++executed_;
   if (fire_hook_ != nullptr) fire_hook_(fire_ctx_, now_);
   // Ambient context: the simulation is single-threaded, but loops nest
@@ -259,8 +248,39 @@ bool EventLoop::step_untimed() {
   AmbientContext& amb = ambient();
   const EventLoop* prev_loop = amb.loop;
   amb.loop = this;
-  action();
+  if (h) {
+    FiberRunScope scope(fiber);
+    h.resume();
+  } else {
+    action();
+  }
   amb.loop = prev_loop;
+}
+
+V_HOT_PATH
+bool EventLoop::step_untimed() {
+  // The lane holds events at now(); the due heap may still hold events at
+  // now() scheduled before them (smaller seq), which fire first.  No
+  // wheel or overflow event is ever at now(): now() is the time of an
+  // event popped from the due heap (so its tick is at or behind the
+  // cursor, and the wheel holds only ticks ahead of it), or a run_until
+  // deadline with nothing pending at or before it — and an event
+  // scheduled at now() afterwards goes to the lane.
+  if (lane_head_ != kNilNode && (due_.empty() || due_.front().at != now_)) {
+    const std::uint32_t idx = lane_head_;
+    lane_head_ = node(idx).next;
+    if (lane_head_ == kNilNode) lane_tail_ = kNilNode;
+    --pending_;
+    fire(idx, now_);
+    return true;
+  }
+  if (due_.empty()) {
+    if (pending_ == 0) return false;
+    advance();
+  }
+  const Key key = pop_due();
+  --pending_;
+  fire(key.node, key.at);
   return true;
 }
 
@@ -293,12 +313,16 @@ void EventLoop::run_until_idle() {
 void EventLoop::run_until(SimTime deadline) {
   const auto wall_start = std::chrono::steady_clock::now();
   for (;;) {
-    if (due_.empty()) {
-      if (pending_ == 0) break;
-      advance();  // moves events into the due heap; executes nothing, so
-                  // overshooting the deadline here is harmless
+    if (lane_head_ != kNilNode) {
+      if (now_ > deadline) break;  // the lane is at now()
+    } else {
+      if (due_.empty()) {
+        if (pending_ == 0) break;
+        advance();  // moves events into the due heap; executes nothing,
+                    // so overshooting the deadline here is harmless
+      }
+      if (due_.front().at > deadline) break;
     }
-    if (due_.front().at > deadline) break;
     step_untimed();
   }
   if (now_ < deadline) now_ = deadline;

@@ -22,11 +22,17 @@
 // engine, so firing order (FIFO and fuzz-hash) is bit-identical to it.
 // Events beyond the wheel horizon (2^36 ticks ≈ 52 simulated days) wait in
 // an overflow heap and are promoted as the wheel cursor approaches.
+// With fuzz off, an event scheduled at exactly now() skips the due heap for
+// a FIFO "same-instant lane" that fires after the due heap's events at
+// now() and before anything later — the same order (DESIGN.md §4i).
 #pragma once
 
 #include <cassert>
+#include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/action.hpp"
@@ -34,6 +40,8 @@
 #include "common/annotate.hpp"
 
 namespace v::sim {
+
+struct FiberState;
 
 /// Counters the loop keeps about its own operation (beyond events_executed).
 struct EventLoopStats {
@@ -54,6 +62,7 @@ struct EventLoopStats {
   /// Scheduled actions that fit InlineAction's buffer (no allocation) vs.
   /// ones that spilled to a heap node.  actions_heap > 0 in a hot loop
   /// means some closure outgrew the inline budget — find it and shrink it.
+  /// Resume events (resume_after) allocate nothing and count as inline.
   std::uint64_t actions_inline = 0;
   std::uint64_t actions_heap = 0;
   /// Host-clock nanoseconds spent running events — actions plus scheduler
@@ -79,20 +88,49 @@ class EventLoop {
   /// Current simulated time.  Monotonically non-decreasing.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedule `action` to run at absolute time `at` (clamped to now()).
-  void schedule_at(SimTime at, Action action);
-
-  /// Schedule `action` to run `delay` from now.  Negative delays are a
-  /// caller bug: debug builds assert, all builds clamp to 0 and count the
-  /// occurrence in stats().
-  V_HOT_PATH
-  void schedule_after(SimDuration delay, Action action) {
-    if (delay < 0) {
-      ++stats_.negative_delay_clamps;
-      assert(!"negative delay passed to EventLoop::schedule_after");
-      delay = 0;
+  /// Schedule `fn` (any void() callable, or an Action) to run at absolute
+  /// time `at` (clamped to now()).  The callable is constructed directly
+  /// in its slab node: no intermediate Action is built and relocated.
+  template <typename F>
+  V_HOT_PATH void schedule_at(SimTime at, F&& fn) {
+    const std::uint32_t idx = alloc_node();
+    Action& action = node(idx).action;
+    try {
+      if constexpr (std::is_same_v<std::decay_t<F>, Action>) {
+        action = std::forward<F>(fn);
+      } else {
+        action.emplace(std::forward<F>(fn));
+      }
+    } catch (...) {
+      free_node(idx);
+      throw;
     }
-    schedule_at(now_ + delay, std::move(action));
+    ++(action.is_inline() ? stats_.actions_inline : stats_.actions_heap);
+    enqueue(at, idx);
+  }
+
+  /// Schedule `fn` to run `delay` from now.  Negative delays are a caller
+  /// bug: debug builds assert, all builds clamp to 0 and count the
+  /// occurrence in stats().
+  template <typename F>
+  V_HOT_PATH void schedule_after(SimDuration delay, F&& fn) {
+    schedule_at(now_ + clamp_delay(delay), std::forward<F>(fn));
+  }
+
+  /// Resume coroutine `h` of `fiber` (may be null) `delay` from now,
+  /// inside a FiberRunScope.  The event's slab node holds the pair
+  /// itself — the one resume path every awaitable and waker uses.  Kill
+  /// is the awaitable's business: its await_resume throws FiberKilled.
+  /// Negative delays are clamped and counted as in schedule_after.
+  V_HOT_PATH
+  void resume_after(SimDuration delay, std::coroutine_handle<> h,
+                    FiberState* fiber) {
+    const std::uint32_t idx = alloc_node();
+    Node& n = node(idx);
+    n.resume = h;
+    n.fiber = fiber;
+    ++stats_.actions_inline;
+    enqueue(now_ + clamp_delay(delay), idx);
   }
 
   /// Run one event.  Returns false when the queue is empty.  (Wall-clock
@@ -112,7 +150,7 @@ class EventLoop {
     return executed_;
   }
 
-  /// Number of events currently pending.
+  /// Number of events currently pending (due heap, lane, wheel, overflow).
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
   [[nodiscard]] const EventLoopStats& stats() const noexcept { return stats_; }
@@ -141,7 +179,9 @@ class EventLoop {
   /// Enter schedule-fuzz mode: break same-timestamp ties by a hash of
   /// (seed, seq) instead of scheduling order.  Fully deterministic for a
   /// given seed.  Call before scheduling anything; events already queued
-  /// keep their FIFO tie keys.
+  /// keep their FIFO tie keys.  Fuzz bypasses the same-instant lane: a
+  /// hashed tie may sort before events already pending, which only the
+  /// due heap can express.
   void enable_fuzz(std::uint64_t seed) noexcept {
     fuzz_ = true;
     fuzz_seed_ = seed;
@@ -170,22 +210,26 @@ class EventLoop {
       return a.seq > b.seq;
     }
   };
-  /// Slab node: the parked action.  Nodes live in fixed chunks (stable
-  /// addresses, no vector-growth relocation) and recycle through a free
-  /// list — after warm-up the loop schedules without allocating.  While
-  /// an event waits in a wheel slot, its node ALSO holds the ordering key
-  /// (at/tie/seq) and `next` threads the slot's intrusive chain — wheel
-  /// buckets are node chains, not vectors, so parking an event never
-  /// allocates either.  A free node reuses `next` as the free-list link.
+  /// Slab node: the parked action, or for a resume event the coroutine
+  /// handle and its fiber (`resume` non-null, `action` empty).  Nodes live
+  /// in fixed chunks (stable addresses, no vector-growth relocation) and
+  /// recycle through a free list — after warm-up the loop schedules
+  /// without allocating.  While an event waits in a wheel slot, its node
+  /// ALSO holds the ordering key (at/tie/seq) and `next` threads the
+  /// slot's intrusive chain — wheel buckets are node chains, not vectors,
+  /// so parking an event never allocates either.  A lane node uses `next`
+  /// as the lane's FIFO link, a free node as the free-list link.
   struct Node {
     Action action;
+    std::coroutine_handle<> resume = nullptr;
+    FiberState* fiber = nullptr;
     SimTime at = 0;
     std::uint64_t tie = 0;
     std::uint64_t seq = 0;
     std::uint32_t next = kNilNode;
   };
   static constexpr std::uint32_t kNilNode = 0xffffffffu;
-  static constexpr std::size_t kChunkBits = 9;  // 512 nodes ≈ 88 KiB / chunk
+  static constexpr std::size_t kChunkBits = 9;  // 512 nodes = 112 KiB / chunk
 
   // Wheel geometry.  A tick is 2^16 ns = 65.536 µs — comfortably below the
   // smallest calibrated delay (the 385 µs local hop), so same-tick
@@ -205,14 +249,46 @@ class EventLoop {
 
   [[nodiscard]] std::uint64_t tie_key(std::uint64_t seq) const noexcept;
 
+  V_HOT_PATH
+  SimDuration clamp_delay(SimDuration delay) noexcept {
+    if (delay < 0) {
+      ++stats_.negative_delay_clamps;
+      assert(!"negative delay passed to EventLoop::schedule_after");
+      delay = 0;
+    }
+    return delay;
+  }
+
+  /// Give the filled node `idx` its sequence number and file it: the lane
+  /// when `at` is now() and fuzz is off, else the due heap or the wheel.
+  void enqueue(SimTime at, std::uint32_t idx);
+  /// Fire node `idx` at time `at`: free it, advance now(), run it.
+  void fire(std::uint32_t idx, SimTime at);
+
   bool step_untimed();
 
   V_HOT_PATH
   Node& node(std::uint32_t idx) noexcept {
     return chunks_[idx >> kChunkBits][idx & ((1u << kChunkBits) - 1)];
   }
-  std::uint32_t alloc_node(Action&& action);
-  void free_node(std::uint32_t idx) noexcept;
+  /// A free node with an empty action and no resume.
+  V_HOT_PATH
+  std::uint32_t alloc_node() {
+    const std::uint32_t idx = free_head_;
+    if (idx == kNilNode) {
+      return fresh_node();  // vlint: allow(hot-path-alloc): cold slab growth
+    }
+    free_head_ = node(idx).next;
+    return idx;
+  }
+  /// Extend the slab by one node (a new chunk every 512): the cold half of
+  /// alloc_node, since the steady state reuses freed nodes.
+  std::uint32_t fresh_node();
+  V_HOT_PATH
+  void free_node(std::uint32_t idx) noexcept {
+    node(idx).next = free_head_;
+    free_head_ = idx;
+  }
 
   void push_due(const Key& key);
   Key pop_due();
@@ -235,9 +311,14 @@ class EventLoop {
   /// Wheel cursor: every event with tick ≤ cur_tick_ has been moved to the
   /// due heap; the wheel and overflow hold only ticks strictly ahead.
   std::uint64_t cur_tick_ = 0;
-  std::size_t pending_ = 0;  ///< due + wheel + overflow
+  std::size_t pending_ = 0;  ///< due + lane + wheel + overflow
   std::vector<Key> due_;     ///< binary heap (Later): the tick being drained
   std::vector<Key> overflow_;  ///< binary heap: > 2^36 ticks ahead
+  /// Same-instant lane: a FIFO chain (through Node::next) of events
+  /// scheduled at exactly now() with fuzz off.  Every lane event is at
+  /// now(), so it needs no key; FIFO order is seq order.
+  std::uint32_t lane_head_ = kNilNode;
+  std::uint32_t lane_tail_ = kNilNode;
   std::uint64_t occupied_[kLevels] = {};  ///< per-level slot bitmaps
   /// Wheel slots: head node index of each slot's intrusive chain (the
   /// keys live in the slab nodes; see Node).  Chain order is arbitrary —

@@ -85,9 +85,10 @@ inline bool& fiber_profiling() noexcept {
   return enabled;
 }
 
-/// RAII marker placed around h.resume() at every resume site (fiber start,
-/// Waker wake, DelayAwaiter, WaitQueue, gate handoff): "this fiber runs
-/// from here to end of scope".  Nesting-safe (saves/restores the previous
+/// RAII marker placed around h.resume() at both resume sites (fiber start
+/// and the event loop's resume events, which every awaitable, waker, wait
+/// queue and gate handoff schedules): "this fiber runs from here to end of
+/// scope".  Nesting-safe (saves/restores the previous
 /// fiber) and null-tolerant.  Under fiber_profiling() it also charges
 /// host-clock time to the fiber — host time, never simulated time, so profiling cannot
 /// perturb the run.

@@ -64,7 +64,7 @@ class File {
   [[nodiscard]] sim::Co<ReplyCode> close();
 
  private:
-  ipc::Process proc_{nullptr, ipc::ProcessId::invalid()};
+  ipc::Process proc_;
   ipc::ProcessId server_;
   io::InstanceId instance_ = 0;
   io::InstanceInfo info_;

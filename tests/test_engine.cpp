@@ -9,6 +9,7 @@
 // path, wheel cascades, and the far-future overflow heap.  A mismatch here
 // means the engine's observable semantics changed; do NOT re-record the
 // goldens without a deliberate (documented) tie-rule change.
+#include <coroutine>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "engine_scenarios.hpp"
+#include "sim/awaitables.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/task.hpp"
@@ -195,6 +197,150 @@ TEST(EngineBoundary, PendingCountsDueWheelAndOverflow) {
   EXPECT_EQ(loop.events_executed(), 3u);
   EXPECT_GE(loop.stats().overflow_promotions, 1u);
   EXPECT_GE(loop.stats().wheel_cascades, 1u);  // 50 ms spans level 0
+}
+
+// --- the same-instant lane -------------------------------------------------
+// With fuzz off, an event scheduled at exactly now() skips the due heap and
+// queues in a FIFO lane.  These pin the lane's place in the (at, seq)
+// order; the EngineEquivalence goldens above pin it on whole scenarios,
+// and their fuzz halves (the 16-seed matrix, whose burst scenario has
+// same-instant arrivals) pin that fuzz bypasses the lane.
+
+TEST(EngineLane, NowEventFiresAfterEarlierDueEventsAtSameInstant) {
+  sim::EventLoop loop;
+  std::vector<int> fired;
+  loop.schedule_at(1'000, [&loop, &fired] {
+    fired.push_back(1);
+    // Lane events at now(): they must wait for event 2, which was
+    // scheduled earlier at this same instant and sits in the due heap.
+    loop.schedule_after(0, [&fired] { fired.push_back(3); });
+    loop.schedule_at(10, [&fired] { fired.push_back(4); });  // clamped
+  });
+  loop.schedule_at(1'000, [&fired] { fired.push_back(2); });
+  loop.schedule_at(1'001, [&fired] { fired.push_back(5); });
+  loop.run_until_idle();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(EngineLane, LaneIsFifoAcrossActionsAndResumes) {
+  sim::EventLoop loop;
+  std::vector<int> fired;
+  struct ResumeAt {
+    sim::EventLoop& loop;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      loop.resume_after(0, h, nullptr);
+    }
+    void await_resume() const noexcept {}
+  };
+  auto body = [](sim::EventLoop& l, std::vector<int>& out) -> sim::Co<void> {
+    co_await ResumeAt{l};
+    out.push_back(2);
+  };
+  sim::Fiber fiber(body(loop, fired));
+  loop.schedule_after(0, [&fired] { fired.push_back(1); });
+  fiber.start();  // parks with a resume event behind action 1
+  loop.schedule_after(0, [&fired] { fired.push_back(3); });
+  EXPECT_EQ(loop.stats().actions_inline, 3u);  // resumes count as inline
+  loop.run_until_idle();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(fiber.done());
+}
+
+TEST(EngineLane, RunUntilDrainsLaneBeforeReturning) {
+  sim::EventLoop loop;
+  std::vector<int> fired;
+  loop.schedule_at(2'000, [&loop, &fired] {
+    fired.push_back(1);
+    loop.schedule_after(0, [&loop, &fired] {
+      fired.push_back(2);
+      loop.schedule_after(0, [&fired] { fired.push_back(3); });
+    });
+  });
+  loop.schedule_at(2'001, [&fired] { fired.push_back(4); });
+  loop.run_until(2'000);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(loop.now(), 2'000);
+  EXPECT_EQ(loop.pending(), 1u);
+  // A deadline with nothing pending moves now(); an event scheduled at the
+  // new now() is a lane event, and running to that same deadline drains it.
+  loop.run_until(3'000);
+  loop.schedule_after(0, [&fired] { fired.push_back(5); });
+  loop.run_until(3'000);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EngineLane, PendingCountsLaneEvents) {
+  sim::EventLoop loop;
+  loop.run_until(50);
+  int ran = 0;
+  loop.schedule_after(0, [&ran] { ++ran; });
+  loop.schedule_after(0, [&ran] { ++ran; });
+  loop.schedule_after(7, [&ran] { ++ran; });
+  EXPECT_EQ(loop.pending(), 3u);
+  EXPECT_TRUE(loop.step());
+  EXPECT_EQ(loop.pending(), 2u);
+  EXPECT_EQ(loop.now(), 50);
+  loop.run_until_idle();
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(ran, 3);
+}
+
+// --- resume events --------------------------------------------------------
+
+/// Sleeps `delay` through DelayAwaiter (a resume event), noting whether the
+/// resume threw FiberKilled and whether the body ran past the sleep.
+sim::Co<void> sleeper(sim::EventLoop& loop, sim::SimDuration delay,
+                      sim::FiberState* const& state, bool& killed_seen,
+                      bool& woke) {
+  try {
+    co_await sim::DelayAwaiter(loop, delay, state);
+  } catch (const sim::FiberKilled&) {
+    killed_seen = true;
+    throw;
+  }
+  woke = true;
+}
+
+TEST(EngineResume, KilledFiberResumeThrowsFiberKilled) {
+  sim::EventLoop loop;
+  sim::FiberState* state = nullptr;
+  bool killed_seen = false;
+  bool woke = false;
+  sim::Fiber fiber(sleeper(loop, 10, state, killed_seen, woke));
+  state = fiber.state().get();
+  fiber.start();
+  EXPECT_EQ(loop.pending(), 1u);
+  fiber.kill();
+  loop.run_until_idle();
+  EXPECT_TRUE(killed_seen);
+  EXPECT_FALSE(woke);
+  EXPECT_TRUE(fiber.done());
+  EXPECT_EQ(fiber.error(), nullptr);  // a kill is not an error
+  EXPECT_EQ(loop.now(), 10);
+  EXPECT_EQ(state->dispatches, 2u);  // start + the resume event
+}
+
+TEST(EngineResume, NegativeDelayIsClampedAndCounted) {
+  auto negative_delay = [] {
+    sim::EventLoop loop;
+    loop.run_until(100);
+    sim::FiberState* state = nullptr;
+    bool killed_seen = false;
+    bool woke = false;
+    sim::Fiber fiber(sleeper(loop, -5, state, killed_seen, woke));
+    state = fiber.state().get();
+    fiber.start();
+    loop.run_until_idle();
+    return loop.stats().negative_delay_clamps == 1 && woke &&
+           !killed_seen && loop.now() == 100;
+  };
+#ifdef NDEBUG
+  EXPECT_TRUE(negative_delay());
+#else
+  EXPECT_DEATH((void)negative_delay(), "negative delay");
+#endif
 }
 
 // --- action type ----------------------------------------------------------

@@ -125,45 +125,88 @@ TEST(ServerTeam, QueueCapShedsWithBusyReply) {
 
 // --- mutating-op serialization --------------------------------------------
 
+/// A file server whose create and remove hooks spend kDirectoryWrite of
+/// simulated time while the mutation gate is held, so concurrent mutators
+/// of one leaf really queue at the gate.  (With in-memory hooks nothing
+/// suspends under the gate, and no mutator ever waits.)  The write is
+/// short next to the clients' 1-4 ms think times, so after the opening
+/// burst the clients drift apart and each one wins some creates.
+class DiskDirectoryServer : public servers::FileServer {
+ public:
+  using servers::FileServer::FileServer;
+  static constexpr sim::SimDuration kDirectoryWrite = 200 * sim::kMicrosecond;
+
+ protected:
+  sim::Co<ReplyCode> create_object(ipc::Process& self, naming::ContextId ctx,
+                                   std::string_view leaf,
+                                   std::uint16_t mode) override {
+    co_await self.delay(kDirectoryWrite);
+    co_return co_await servers::FileServer::create_object(self, ctx, leaf,
+                                                          mode);
+  }
+  sim::Co<ReplyCode> remove(ipc::Process& self, naming::ContextId ctx,
+                            std::string_view leaf) override {
+    co_await self.delay(kDirectoryWrite);
+    co_return co_await servers::FileServer::remove(self, ctx, leaf);
+  }
+};
+
+struct RaceOutcome {
+  std::vector<std::string> journal;
+  std::uint64_t handoffs = 0;
+};
+
 // Four clients race create/remove on the SAME (ctx, leaf) against a
 // 4-worker team.  The per-name gate serializes the mutations, and the
 // deterministic event loop makes the interleaving reproducible: the whole
 // journal of observed reply codes must be identical across runs.
-std::vector<std::string> mutate_race_journal() {
-  VFixture fx(ipc::CalibrationParams::SunWorkstation3Mbit(),
-              servers::DiskModel::kMemory, {.workers = 4, .queue_cap = 64});
-  std::vector<std::string> journal(4);
+RaceOutcome mutate_race() {
+  ipc::Domain dom(ipc::CalibrationParams::SunWorkstation3Mbit());
+  auto& ws1 = dom.add_host("ws1");
+  auto& fs1 = dom.add_host("fs1");
+  DiskDirectoryServer alpha("alpha", servers::DiskModel::kMemory,
+                            /*register_service=*/false,
+                            {.workers = 4, .queue_cap = 64});
+  alpha.mkdirs("tmp");
+  const auto alpha_pid =
+      fs1.spawn("alpha", [&alpha](ipc::Process p) { return alpha.run(p); });
+  RaceOutcome out;
+  out.journal.resize(4);
   int finished = 0;
   for (int c = 0; c < 4; ++c) {
-    fx.ws1.spawn("mutator", [&fx, &journal, &finished,
-                             c](ipc::Process self) -> Co<void> {
+    ws1.spawn("mutator", [alpha_pid, &out, &finished,
+                          c](ipc::Process self) -> Co<void> {
       svc::Rt rt(self, {ipc::ProcessId::invalid(),
-                        {fx.alpha_pid, naming::kDefaultContext}});
+                        {alpha_pid, naming::kDefaultContext}});
+      std::string& log = out.journal[static_cast<std::size_t>(c)];
       for (int i = 0; i < 5; ++i) {
         const auto created = co_await rt.create("tmp/contested", 0);
-        journal[static_cast<std::size_t>(c)] +=
-            std::string(to_string(created)) + ";";
+        log += std::string(to_string(created)) + ";";
         co_await self.delay((c + 1) * kMillisecond);
         const auto removed = co_await rt.remove("tmp/contested");
-        journal[static_cast<std::size_t>(c)] +=
-            std::string(to_string(removed)) + ";";
+        log += std::string(to_string(removed)) + ";";
       }
       ++finished;
     });
   }
-  fx.dom.run();
-  EXPECT_EQ(fx.dom.process_failures(), 0u) << fx.dom.first_failure();
+  dom.run();
+  EXPECT_EQ(dom.process_failures(), 0u) << dom.first_failure();
   EXPECT_EQ(finished, 4);
-  return journal;
+  out.handoffs = alpha.gate_handoffs();
+  return out;
 }
 
 TEST(ServerTeam, MutatingOpsOnSameLeafAreDeterministic) {
-  const auto first = mutate_race_journal();
-  const auto second = mutate_race_journal();
-  EXPECT_EQ(first, second);
+  const auto first = mutate_race();
+  const auto second = mutate_race();
+  EXPECT_EQ(first.journal, second.journal);
+  // The mutators really contend: some gate was passed from a releasing
+  // holder to a queued waiter.
+  EXPECT_GE(first.handoffs, 1u);
+  EXPECT_EQ(first.handoffs, second.handoffs);
   // The gate admits one mutation at a time, so every observed code is a
   // legal serial outcome — never a torn/corrupt server state.
-  for (const auto& log : first) {
+  for (const auto& log : first.journal) {
     EXPECT_EQ(log.find("BAD_STATE"), std::string::npos) << log;
     EXPECT_NE(log.find("OK"), std::string::npos) << log;
   }
