@@ -259,12 +259,14 @@ run_obs() {
   echo "==> obs: recorder overhead gate (<5% events/s on timer-churn)"
   # The always-on claim, measured where it hurts most: timer-churn is
   # nothing but event dispatches, and --flight re-runs it with the
-  # recorder's fire hook attached to every one of them.  The two run as
-  # 21 back-to-back pairs in ONE process, alternating which goes first;
-  # the gate reads the MEDIAN per-pair flight/plain wall ratio, which
-  # bounds hook + record() cost itself, not a busy neighbour (a min of
-  # 5 read +-8% on an unchanged tree).  The checked-in BENCH_engine.json
-  # still gates absolute speed at 25% in the perf stage.
+  # recorder's fire hook attached to every other 5-sim-ms slice of ONE
+  # timer-churn run, alternating which half of each adjacent pair is
+  # hooked; the gate reads the MEDIAN hooked/plain ratio of wall ns per
+  # event over the pairs, which bounds hook + record() cost itself, not a
+  # busy neighbour (two slices a millisecond apart see the same host; a
+  # min over separate runs read +-8% on an unchanged tree).  The
+  # checked-in BENCH_engine.json still gates absolute speed at 25% in the
+  # perf stage.
   ./build/bench/bench_engine --flight --repeat 5 \
     --json /tmp/bench_engine_flight.json >/dev/null
   python3 scripts/check_bench_json.py --max-regression 0.05 \

@@ -27,45 +27,42 @@ sim::DelayAwaiter Process::delay(sim::SimDuration d) const {
 }
 
 V_HOT_PATH
-sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
-                                    Segments segments) {
+Envelope Process::open_transaction(const msg::Message& request,
+                                   Segments segments, ProcessId holder,
+                                   std::uint32_t peer,
+                                   std::string_view span_name) {
   auto& rec = record();
   V_CHECK(!rec.awaiting_reply);  // V processes have one outstanding send
   rec.awaiting_reply = true;
-  rec.blocked_on = dest;
+  rec.blocked_on = holder;
   rec.exposed = segments;
   ++rec.send_seq;
-  ++domain_->stats_.messages_sent;
-  if (!dest.local_to(host_id())) ++domain_->stats_.remote_messages;
   Envelope env{pid_, request, segments, {}, {}, {},
                static_cast<std::uint32_t>(rec.send_seq), {}};
   rec.send_started_at = domain_->now();
   rec.last_send_code = request.code();
-  if (auto& tr = domain_->tracer(); tr.active()) {
-    // Head-based sampling: the keep/skip decision is made HERE, once per
-    // transaction, and rides the envelope — forwarded requests are traced
-    // end-to-end or not at all.  Recovery probes are always kept: they
-    // only exist because something already went wrong.
-    if (msg::cs::is_recovery_probe(request) ||
-        tr.sampler().decide(request.code())) {
-      env.trace.set_sampled();
-      env.trace.trace_id = tr.begin_trace();
-      // vlint: allow(hot-path-alloc): span naming, only while the tracer is active
-      const std::string_view op = obs::opcode_label(request.code());
-      const std::uint32_t root =
-          tr.begin_span(env.trace.trace_id, 0, std::string("send ").append(op),
-                        "send", pid_.raw, domain_->now());
-      tr.set_process_label(pid_.raw, rec.name);
-      tr.note_send(pid_.raw, root);
-      env.trace.parent_span = root;
-    }
+  // Head-based sampling: the keep/skip decision is made HERE, once per
+  // transaction, and rides the envelope: forwarded requests are traced
+  // end-to-end or not at all.  Recovery probes (including svc::Runtime's
+  // multicast rebinding) are always kept: they only exist because
+  // something already went wrong.
+  if (auto& tr = domain_->tracer();
+      tr.active() && (msg::cs::is_recovery_probe(request) ||
+                      tr.sampler().decide(request.code()))) {
+    domain_->open_root_span(env, span_name, {}, rec.name);
   }
   domain_->flight_.record(host_id(), obs::FlightKind::kSend, domain_->now(),
-                          pid_.raw, dest.raw, request.code(), rec.send_seq,
+                          pid_.raw, peer, request.code(), rec.send_seq,
                           env.trace.sampled() ? 1 : 0);
-  if (domain_->wd_threshold_ > 0 && !domain_->wd_armed_) {
-    domain_->arm_watchdog(domain_->now() + domain_->wd_period_);
-  }
+  domain_->arm_watchdog();
+  return env;
+}
+
+V_HOT_PATH
+sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
+                                    Segments segments) {
+  Envelope env = open_transaction(request, segments, dest, dest.raw, "send ");
+  domain_->count_request(host_id(), dest);
   // Loss masking: under a plan whose links can fault, every send is
   // covered, even when the FIRST hop is local (never faulted) — the
   // receptionist may forward the request across the wire, and the lost
@@ -73,8 +70,13 @@ sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
   // hop, whose duplicate table re-drives the stored forward.  A lossless
   // plan loses nothing to mask: no timer, and (as with no plan) a live
   // server is never timed out; kNoReply comes from crash detection only.
-  if (domain_->loss_masking_) domain_->arm_retransmit(env, dest);
+  if (domain_->loss_masking_) {
+    const fault::RetryPolicy& policy = domain_->fault_plan_->retry();
+    domain_->schedule_retransmit(env, dest, policy.initial_timeout,
+                                 policy.budget);
+  }
   domain_->deliver(host_id(), std::move(env), dest);
+  auto& rec = record();
   co_await sim::ParkAwaiter(rec.reply_waker, rec.fiber_state);
   co_return rec.reply;
 }
@@ -82,55 +84,17 @@ sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
 sim::Co<msg::Message> Process::send_to_group(msg::Message request,
                                              GroupId group,
                                              Segments segments) {
-  auto& rec = record();
-  V_CHECK(!rec.awaiting_reply);
-  rec.awaiting_reply = true;
-  rec.blocked_on = ProcessId::invalid();  // no single holder; timeout covers
-  rec.exposed = segments;
-  const auto seq = ++rec.send_seq;
-
-  Envelope proto{pid_, request, segments, {}, {}, {},
-                 static_cast<std::uint32_t>(seq), {}};
-  rec.send_started_at = domain_->now();
-  rec.last_send_code = request.code();
-  if (auto& tr = domain_->tracer(); tr.active()) {
-    // Same head decision as send(); see there.  Multicast recovery probes
-    // (svc::Runtime rebinding) are the forced-on case that matters here.
-    if (msg::cs::is_recovery_probe(request) ||
-        tr.sampler().decide(request.code())) {
-      proto.trace.set_sampled();
-      proto.trace.trace_id = tr.begin_trace();
-      const std::uint32_t root =
-          tr.begin_span(proto.trace.trace_id, 0,
-                        std::string("send-group ")
-                            .append(obs::opcode_label(request.code())),
-                        "send", pid_.raw, domain_->now());
-      tr.set_process_label(pid_.raw, rec.name);
-      tr.note_send(pid_.raw, root);
-      proto.trace.parent_span = root;
-    }
-  }
-  domain_->flight_.record(host_id(), obs::FlightKind::kSend, domain_->now(),
-                          pid_.raw, static_cast<std::uint32_t>(group),
-                          request.code(), seq,
-                          proto.trace.sampled() ? 1 : 0);
-  if (domain_->wd_threshold_ > 0 && !domain_->wd_armed_) {
-    domain_->arm_watchdog(domain_->now() + domain_->wd_period_);
-  }
-  std::size_t delivered = 0;
-  auto it = domain_->groups_.find(group);
-  if (it != domain_->groups_.end()) {
-    for (ProcessId member : it->second) {
-      if (member == pid_ || !domain_->process_alive(member)) continue;
-      domain_->deliver(host_id(), proto, member,
-                       /*synth_on_dead=*/false);
-      ++delivered;
-    }
-  }
+  // No single holder: the group timeout covers the blocked sender.
+  const Envelope proto =
+      open_transaction(request, segments, ProcessId::invalid(),
+                       static_cast<std::uint32_t>(group), "send-group ");
+  const std::size_t delivered = domain_->deliver_to_group(
+      host_id(), proto, group, /*skip=*/pid_, /*count=*/false);
   // First reply wins; this timeout fires only if nothing answered this send.
   domain_->schedule_timeout(
       pid_, proto.txn_seq,
       delivered == 0 ? params().getpid_local : params().group_timeout);
+  auto& rec = record();
   co_await sim::ParkAwaiter(rec.reply_waker, rec.fiber_state);
   co_return rec.reply;
 }
@@ -152,7 +116,6 @@ sim::Co<Envelope> Process::receive() {
 
 V_HOT_PATH
 void Process::reply(const Envelope& env, const msg::Message& reply_msg) {
-  ++domain_->stats_.replies_sent;
   domain_->deliver_reply(host_id(), reply_msg, env, pid_, {}, {});
 }
 
@@ -160,7 +123,6 @@ V_HOT_PATH
 void Process::reply_with_hint(const Envelope& env,
                               const msg::Message& reply_msg,
                               const BindingHint& hint) {
-  ++domain_->stats_.replies_sent;
   domain_->deliver_reply(host_id(), reply_msg, env, pid_, hint, env.origin);
 }
 
@@ -170,53 +132,17 @@ BindingHint Process::last_origin_hint() const { return record().reply_origin; }
 
 void Process::forward(const Envelope& env, ProcessId new_dest) {
   // "It appears as though the sender originally sent to the third process."
-  ++domain_->stats_.forwards;
-  ++domain_->stats_.messages_sent;
-  if (!new_dest.local_to(host_id())) ++domain_->stats_.remote_messages;
-  // The forwarder will never reply to this request itself: settle its
-  // outstanding-request ledger entry (duplicate-reply invariant).
-  domain_->lint_.note_forwarded(env.addressed.raw, env.sender.raw);
-  domain_->flight_.record(host_id(), obs::FlightKind::kForward,
-                          domain_->now(), pid_.raw, new_dest.raw,
-                          env.request.code(), env.txn_seq,
-                          env.trace.sampled() ? 1 : 0);
-  // Copying env.name materializes it: the forwarded envelope carries an
+  domain_->note_forward(pid_, env, new_dest, /*group=*/0);
+  domain_->count_request(host_id(), new_dest);
+  // Copying env materializes its name: the forwarded envelope carries an
   // OWNED copy of any fetched name bytes (the fetch-once attachment).
-  Envelope fwd{env.sender, env.request, env.segments, env.name, env.trace,
-               env.origin, env.txn_seq, env.addressed};
-  if (domain_->loss_masking_) {
-    domain_->note_forward(fwd, new_dest, /*group=*/0);
-  }
-  domain_->deliver(host_id(), std::move(fwd), new_dest);
+  domain_->deliver(host_id(), env, new_dest);
 }
 
 void Process::forward_to_group(const Envelope& env, GroupId group) {
-  ++domain_->stats_.forwards;
-  domain_->lint_.note_forwarded(env.addressed.raw, env.sender.raw);
-  domain_->flight_.record(host_id(), obs::FlightKind::kForward,
-                          domain_->now(), pid_.raw,
-                          static_cast<std::uint32_t>(group),
-                          env.request.code(), env.txn_seq,
-                          env.trace.sampled() ? 1 : 0);
-  if (domain_->loss_masking_) {
-    Envelope noted{env.sender, env.request, env.segments, env.name,
-                   env.trace, env.origin, env.txn_seq, env.addressed};
-    domain_->note_forward(noted, ProcessId::invalid(), group);
-  }
-  std::size_t delivered = 0;
-  auto it = domain_->groups_.find(group);
-  if (it != domain_->groups_.end()) {
-    for (ProcessId member : it->second) {
-      if (!domain_->process_alive(member)) continue;
-      Envelope fwd{env.sender, env.request, env.segments, env.name,
-                   env.trace, env.origin, env.txn_seq, env.addressed};
-      domain_->deliver(host_id(), std::move(fwd),
-                       member, /*synth_on_dead=*/false);
-      ++domain_->stats_.messages_sent;
-      if (!member.local_to(host_id())) ++domain_->stats_.remote_messages;
-      ++delivered;
-    }
-  }
+  domain_->note_forward(pid_, env, ProcessId::invalid(), group);
+  const std::size_t delivered = domain_->deliver_to_group(
+      host_id(), env, group, /*skip=*/ProcessId::invalid(), /*count=*/true);
   // Guard the blocked sender against a silent group: if the forwarded
   // transaction is still outstanding after the timeout, answer kTimeout.
   domain_->schedule_timeout(
@@ -232,11 +158,8 @@ sim::Co<Result<std::size_t>> Process::move_from(const Envelope& env,
   domain_->stats_.bytes_moved += dest.size();
   const bool local = env.sender.local_to(host_id());
   co_await delay(params().move_from_cost(dest.size(), local));
-  auto* srec = domain_->find(env.sender);  // validate after the transfer time
-  if (!Domain::current_txn(srec, env.txn_seq) || !srec->alive ||
-      !srec->awaiting_reply) {
-    co_return ReplyCode::kNoReply;
-  }
+  auto* srec = domain_->txn_sender(env);  // validate after the transfer time
+  if (srec == nullptr) co_return ReplyCode::kNoReply;
   // The sender's logical read segment is the pair (read, read2) addressed
   // as one contiguous range; stitch the copy across the seam.
   const Segments& seg = srec->exposed;
@@ -265,11 +188,8 @@ sim::Co<Result<std::string_view>> Process::fetch_name(
   // real transfers) are elided on attached and borrowed reads.
   const bool local = env.sender.local_to(host_id());
   co_await delay(params().move_from_cost(name_len, local));
-  auto* srec = domain_->find(env.sender);  // validate after the transfer time
-  if (!Domain::current_txn(srec, env.txn_seq) || !srec->alive ||
-      !srec->awaiting_reply) {
-    co_return ReplyCode::kNoReply;
-  }
+  auto* srec = domain_->txn_sender(env);  // validate after the transfer time
+  if (srec == nullptr) co_return ReplyCode::kNoReply;
   if (env.name.size() >= name_len) {
     // A server earlier in the forward chain already fetched (and a
     // forwarding copy attached) the bytes: fetch-once pays off here.
@@ -306,11 +226,8 @@ sim::Co<Result<std::size_t>> Process::move_to(const Envelope& env,
   domain_->stats_.bytes_moved += src.size();
   const bool local = env.sender.local_to(host_id());
   co_await delay(params().move_to_cost(src.size(), local));
-  auto* drec = domain_->find(env.sender);
-  if (!Domain::current_txn(drec, env.txn_seq) || !drec->alive ||
-      !drec->awaiting_reply) {
-    co_return ReplyCode::kNoReply;
-  }
+  auto* drec = domain_->txn_sender(env);
+  if (drec == nullptr) co_return ReplyCode::kNoReply;
   const auto seg = drec->exposed.write;
   if (offset + src.size() > seg.size()) co_return ReplyCode::kBadArgs;
   if (!src.empty()) {
@@ -467,6 +384,10 @@ void Host::resume() {
   }
 }
 
+void Host::stash(sim::EventLoop::Action packet) {
+  stash_.push_back(std::move(packet));
+}
+
 void Host::register_service(ServiceId service, ProcessId pid, Scope scope) {
   services_[service] = detail::Registration{pid, scope};
 }
@@ -617,13 +538,7 @@ bool Domain::process_alive(ProcessId pid) const {
 }
 
 V_HOT_PATH
-detail::ProcessRecord* Domain::find(ProcessId pid) {
-  auto it = by_pid_.find(pid.raw);
-  return it != by_pid_.end() ? it->second : nullptr;
-}
-
-V_HOT_PATH
-const detail::ProcessRecord* Domain::find(ProcessId pid) const {
+detail::ProcessRecord* Domain::find(ProcessId pid) const {
   auto it = by_pid_.find(pid.raw);
   return it != by_pid_.end() ? it->second : nullptr;
 }
@@ -652,53 +567,69 @@ detail::ProcessRecord& Domain::create_record(Host& host, std::string name) {
 }
 
 V_HOT_PATH
-void Domain::deliver(HostId from_host, Envelope env, ProcessId dest) {
-  deliver(from_host, std::move(env), dest, /*synth_on_dead=*/true);
+Domain::Passage Domain::pass_link(HostId from_host, ProcessId to,
+                                  std::uint32_t actor, std::uint32_t peer,
+                                  std::uint16_t code, std::uint64_t seq,
+                                  std::uint8_t flags) {
+  const bool local = to.local_to(from_host);
+  Passage p{.hop = params_.hop(local)};
+  // Link faults apply to remote packets only: local IPC never crosses the
+  // wire (and MoveFrom/MoveTo model bulk transfer separately).  A lossless
+  // plan draws no verdict at all.
+  if (!loss_masking_ || local) return p;
+  const fault::PacketDecision verdict =
+      fault_plan_->on_packet(from_host, to.logical_host());
+  if (verdict.duplicate) {
+    flight_.record(to.logical_host(), obs::FlightKind::kFaultDup,
+                   loop_.now(), actor, peer, code, seq, flags);
+    p.duplicate = true;
+    p.dup_hop = p.hop + verdict.extra_delay + verdict.dup_delay;
+  }
+  if (verdict.drop) {  // the retransmit masks the loss, of either packet
+    flight_.record(to.logical_host(), obs::FlightKind::kFaultDrop,
+                   loop_.now(), actor, peer, code, seq, flags);
+    p.lost = true;
+  }
+  p.hop += verdict.extra_delay;
+  return p;
 }
 
 V_HOT_PATH
 void Domain::deliver(HostId from_host, Envelope env, ProcessId dest,
                      bool synth_on_dead) {
-  const bool local = dest.local_to(from_host);
-  sim::SimDuration hop = params_.hop(local);
-  // Link faults apply to remote packets only: local IPC never crosses the
-  // wire (and MoveFrom/MoveTo model bulk transfer separately).  A lossless
-  // plan draws no verdict at all.
-  if (loss_masking_ && !local) {
-    const fault::PacketDecision verdict =
-        fault_plan_->on_packet(from_host, dest.logical_host());
-    if (verdict.duplicate) {
-      flight_.record(dest.logical_host(), obs::FlightKind::kFaultDup,
-                     loop_.now(), env.sender.raw, dest.raw,
-                     env.request.code(), env.txn_seq,
-                     env.trace.sampled() ? 1 : 0);
-      // The duplicate copy never synthesizes kNoReply: it is extra traffic,
-      // not the transaction's packet of record.
-      const std::uint32_t dup_slot = env_acquire();
-      env_node(dup_slot).env = env;
-      loop_.schedule_after(hop + verdict.extra_delay + verdict.dup_delay,
-                           [this, dup_slot, dest] {
-                             arrive_slot(dup_slot, dest,
-                                         /*synth_on_dead=*/false);
-                           });
-    }
-    if (verdict.drop) {  // retransmission masks the loss
-      flight_.record(dest.logical_host(), obs::FlightKind::kFaultDrop,
-                     loop_.now(), env.sender.raw, dest.raw,
-                     env.request.code(), env.txn_seq,
-                     env.trace.sampled() ? 1 : 0);
-      return;
-    }
-    hop += verdict.extra_delay;
-  }
+  const Passage p =
+      pass_link(from_host, dest, env.sender.raw, dest.raw, env.request.code(),
+                env.txn_seq, env.trace.sampled() ? 1 : 0);
   // Park the envelope in the slab and schedule a slot-index closure: the
   // capture is 24 bytes no matter how fat Envelope grows, so the delivery
   // event always stays inside the event loop's inline action buffer.
-  const std::uint32_t slot = env_acquire();
-  env_node(slot).env = std::move(env);
-  loop_.schedule_after(hop, [this, slot, dest, synth_on_dead] {
-    arrive_slot(slot, dest, synth_on_dead);
-  });
+  auto land = [this, dest](sim::SimDuration after, Envelope&& packet,
+                           bool synth) {
+    const std::uint32_t slot = env_acquire();
+    env_node(slot).env = std::move(packet);
+    loop_.schedule_after(after, [this, slot, dest, synth] {
+      arrive_slot(slot, dest, synth);
+    });
+  };
+  // The duplicate copy never synthesizes kNoReply: it is extra traffic,
+  // not the transaction's packet of record.
+  if (p.duplicate) land(p.dup_hop, Envelope{env}, /*synth=*/false);
+  if (!p.lost) land(p.hop, std::move(env), synth_on_dead);
+}
+
+std::size_t Domain::deliver_to_group(HostId from_host, const Envelope& env,
+                                     GroupId group, ProcessId skip,
+                                     bool count) {
+  auto it = groups_.find(group);
+  if (it == groups_.end()) return 0;
+  std::size_t delivered = 0;
+  for (ProcessId member : it->second) {
+    if (member == skip || !process_alive(member)) continue;
+    deliver(from_host, env, member, /*synth_on_dead=*/false);
+    if (count) count_request(from_host, member);
+    ++delivered;
+  }
+  return delivered;
 }
 
 V_HOT_PATH
@@ -710,12 +641,12 @@ void Domain::arrive_slot(std::uint32_t slot, ProcessId dest,
   // resume() and land through this same gate (so all guards re-run then).
   // The envelope leaves the slab for the stash (cold path) so a crash's
   // stash_.clear() can never leak a slot.
-  if (rec != nullptr && rec->host != nullptr && rec->host->paused_) {
-    rec->host->stash_.push_back(
-        [this, env = std::move(env), dest, synth_on_dead]() mutable {
-          // vlint: allow(hot-path-alloc): pause-stash replay, only while a host is paused
-          arrive(std::move(env), dest, synth_on_dead);
-        });
+  if (Host* host = paused_host(rec)) {
+    host->stash([this, env = std::move(env), dest, synth_on_dead]() mutable {
+      const std::uint32_t again = env_acquire();  // back into the slab
+      env_node(again).env = std::move(env);
+      arrive_slot(again, dest, synth_on_dead);
+    });
     env_release(slot);
     return;
   }
@@ -780,17 +711,12 @@ void Domain::arrive_slot(std::uint32_t slot, ProcessId dest,
   }
 }
 
-void Domain::arrive(Envelope env, ProcessId dest, bool synth_on_dead) {
-  const std::uint32_t slot = env_acquire();
-  env_node(slot).env = std::move(env);
-  arrive_slot(slot, dest, synth_on_dead);
-}
-
 V_HOT_PATH
 void Domain::deliver_reply(HostId from_host, const msg::Message& reply,
                            const Envelope& env, ProcessId from,
                            const BindingHint& hint,
                            const BindingHint& origin) {
+  ++stats_.replies_sent;
   // Protocol lint: replies from registered server-team pids must carry a
   // standard reply code.  Violations are recorded but still delivered.
   lint_.check_reply(reply, from.raw, env.sender.raw,
@@ -808,32 +734,16 @@ void Domain::send_reply_packet(HostId from_host, const msg::Message& reply,
                                ProcessId to, const BindingHint& hint,
                                const BindingHint& origin,
                                std::uint32_t answered_seq) {
-  const bool local = to.local_to(from_host);
-  sim::SimDuration hop = params_.hop(local);
-  if (loss_masking_ && !local) {
-    const fault::PacketDecision verdict =
-        fault_plan_->on_packet(from_host, to.logical_host());
-    if (verdict.duplicate) {
-      flight_.record(to.logical_host(), obs::FlightKind::kFaultDup,
-                     loop_.now(), to.raw, 0,
-                     static_cast<std::uint16_t>(reply.code()), answered_seq);
-      loop_.schedule_after(
-          hop + verdict.extra_delay + verdict.dup_delay,
-          [this, reply, to, hint, origin, answered_seq] {
-            arrive_reply(to, reply, hint, origin, answered_seq);
-          });
-    }
-    if (verdict.drop) {  // the client's retransmit re-earns the reply
-      flight_.record(to.logical_host(), obs::FlightKind::kFaultDrop,
-                     loop_.now(), to.raw, 0,
-                     static_cast<std::uint16_t>(reply.code()), answered_seq);
-      return;
-    }
-    hop += verdict.extra_delay;
-  }
-  loop_.schedule_after(hop, [this, reply, to, hint, origin, answered_seq] {
-    arrive_reply(to, reply, hint, origin, answered_seq);
-  });
+  const Passage p =
+      pass_link(from_host, to, to.raw, 0,
+                static_cast<std::uint16_t>(reply.code()), answered_seq, 0);
+  auto land = [&](sim::SimDuration after) {
+    loop_.schedule_after(after, [this, reply, to, hint, origin, answered_seq] {
+      arrive_reply(to, reply, hint, origin, answered_seq);
+    });
+  };
+  if (p.duplicate) land(p.dup_hop);
+  if (!p.lost) land(p.hop);  // a lost one: the retransmit re-earns it
 }
 
 V_HOT_PATH
@@ -841,9 +751,8 @@ void Domain::arrive_reply(ProcessId to, const msg::Message& reply,
                           const BindingHint& hint, const BindingHint& origin,
                           std::uint32_t answered_seq) {
   auto* rec = find(to);
-  if (rec != nullptr && rec->host != nullptr && rec->host->paused_) {
-    rec->host->stash_.push_back([this, to, reply, hint, origin,
-                                 answered_seq] {
+  if (Host* host = paused_host(rec)) {
+    host->stash([this, to, reply, hint, origin, answered_seq] {
       arrive_reply(to, reply, hint, origin, answered_seq);
     });
     return;
@@ -896,28 +805,19 @@ void Domain::complete_reply(ProcessId to, const msg::Message& reply,
   rec->reply = reply;
   rec->reply_hint = hint;      // {} for unhinted and synthesized replies
   rec->reply_origin = origin;
-  if (rec->send_started_at >= 0) {
-    const sim::SimTime now = loop_.now();
-    const sim::SimDuration took = now - rec->send_started_at;
-    slo_.observe(rec->last_send_code, took);
-    flight_.record(to.logical_host(), obs::FlightKind::kReply, now, to.raw,
-                   0, static_cast<std::uint16_t>(reply.code()),
-                   static_cast<std::uint64_t>(took));
-    // Tail mark for anomalies head sampling skipped: a failed send with
-    // no open root span (unsampled) still leaves a closed "mark" span.
-    if (tracer_.active() && reply.reply_code() != ReplyCode::kOk &&
-        tracer_.open_send(to.raw) == 0) {
-      tracer_.note_error_reply(to.raw,
-                               static_cast<std::uint16_t>(reply.code()),
-                               rec->send_started_at, now);
-    }
-    rec->send_started_at = -1;
-  }
+  // open_transaction stamps send_started_at whenever it sets
+  // awaiting_reply, so a blocked sender always has a start time.
+  const sim::SimTime now = loop_.now();
+  const sim::SimDuration took = now - rec->send_started_at;
+  const auto code = static_cast<std::uint16_t>(reply.code());
+  slo_.observe(rec->last_send_code, took);
+  flight_.record(to.logical_host(), obs::FlightKind::kReply, now, to.raw, 0,
+                 code, static_cast<std::uint64_t>(took));
   // One outstanding Send per process, so the sender pid keys the open root
   // span; closing it here covers Reply, Forward chains and synthesized
-  // replies alike.
-  tracer_.end_send(to.raw, static_cast<std::uint16_t>(reply.code()),
-                   loop_.now());
+  // replies alike.  A failed send head sampling skipped gets a mark.
+  tracer_.end_send(to.raw, code, rec->send_started_at, now);
+  rec->send_started_at = -1;
   if (rec->reply_waker.armed()) rec->reply_waker.wake(loop_);
 }
 
@@ -989,19 +889,12 @@ void Domain::install_faults(fault::FaultPlan& plan) {
   }
 }
 
-void Domain::arm_retransmit(const Envelope& env, ProcessId dest) {
-  const fault::RetryPolicy& policy = fault_plan_->retry();
-  schedule_retransmit(env, dest, policy.initial_timeout, policy.budget);
-}
-
 void Domain::schedule_retransmit(Envelope env, ProcessId dest,
                                  sim::SimDuration timeout,
                                  std::uint32_t remaining) {
   loop_.schedule_after(timeout, [this, env = std::move(env), dest, timeout,
                                  remaining]() mutable {
-    auto* rec = find(env.sender);
-    if (!current_txn(rec, env.txn_seq) || !rec->alive ||
-        !rec->awaiting_reply) {
+    if (txn_sender(env) == nullptr) {
       return;  // transaction closed (answered, or the sender died)
     }
     if (remaining == 0) {
@@ -1018,35 +911,22 @@ void Domain::schedule_retransmit(Envelope env, ProcessId dest,
     ++fault_plan_->stats().retransmits;
     ++stats_.messages_sent;
     ++stats_.remote_messages;
-    if (tracer_.active() && env.trace.trace_id == 0) {
+    if (tracer_.active()) {
       // Late promotion: a transaction that needed a retransmit is exactly
       // the kind head sampling should not have skipped.  Open its root
       // span now — hops already taken are gone (head sampling cannot
       // resurrect them), but every hop from this retransmit on is traced.
-      env.trace.set_sampled();
-      env.trace.trace_id = tracer_.begin_trace();
-      const std::uint32_t root = tracer_.begin_span(
-          env.trace.trace_id, 0,
-          std::string("send ")
-              .append(obs::opcode_label(env.request.code()))
-              .append(" (promoted)"),
-          "send", env.sender.raw, loop_.now());
-      tracer_.note_send(env.sender.raw, root);
-      env.trace.parent_span = root;
-    }
-    if (tracer_.active() && env.trace.trace_id != 0) {
-      const std::uint32_t span =
-          tracer_.begin_span(env.trace.trace_id, env.trace.parent_span,
-                             "retransmit", "mark", env.sender.raw,
-                             loop_.now());
-      tracer_.end_span(span, loop_.now());
+      if (env.trace.trace_id == 0) {
+        open_root_span(env, "send ", " (promoted)", /*label=*/{});
+      }
+      tracer_.mark(env.trace.trace_id, env.trace.parent_span, "retransmit",
+                   env.sender.raw, loop_.now(), loop_.now());
     }
     flight_.record(env.sender.logical_host(), obs::FlightKind::kRetransmit,
                    loop_.now(), env.sender.raw, dest.raw,
                    env.request.code(), remaining,
                    env.trace.sampled() ? 1 : 0);
-    Envelope copy = env;
-    deliver(env.sender.logical_host(), std::move(copy), dest);
+    deliver(env.sender.logical_host(), env, dest);
     const auto backed_off = static_cast<sim::SimDuration>(
         static_cast<double>(timeout) * fault_plan_->retry().backoff);
     schedule_retransmit(std::move(env), dest,
@@ -1084,19 +964,10 @@ bool Domain::suppress_duplicate(detail::ProcessRecord& server,
       ++fs.forwards_replayed;
       const HostId from_host = server.pid.logical_host();
       if (txn.fwd_group != 0) {
-        auto git = groups_.find(txn.fwd_group);
-        if (git != groups_.end()) {
-          for (ProcessId member : git->second) {
-            if (!process_alive(member)) continue;
-            Envelope copy = txn.fwd_env;
-            deliver(from_host, std::move(copy), member,
-                    /*synth_on_dead=*/false);
-          }
-        }
+        deliver_to_group(from_host, txn.fwd_env, txn.fwd_group,
+                         /*skip=*/ProcessId::invalid(), /*count=*/false);
       } else {
-        Envelope copy = txn.fwd_env;
-        deliver(from_host, std::move(copy), txn.fwd_dest,
-                /*synth_on_dead=*/true);
+        deliver(from_host, txn.fwd_env, txn.fwd_dest);
       }
       return true;
     }
@@ -1111,8 +982,19 @@ bool Domain::suppress_duplicate(detail::ProcessRecord& server,
   return false;
 }
 
-void Domain::note_forward(const Envelope& env, ProcessId new_dest,
-                          GroupId group) {
+void Domain::note_forward(ProcessId forwarder, const Envelope& env,
+                          ProcessId new_dest, GroupId group) {
+  ++stats_.forwards;
+  // The forwarder will never reply to this request itself: settle its
+  // outstanding-request ledger entry (duplicate-reply invariant).
+  lint_.note_forwarded(env.addressed.raw, env.sender.raw);
+  flight_.record(forwarder.logical_host(), obs::FlightKind::kForward,
+                 loop_.now(), forwarder.raw,
+                 new_dest.valid() ? new_dest.raw
+                                  : static_cast<std::uint32_t>(group),
+                 env.request.code(), env.txn_seq,
+                 env.trace.sampled() ? 1 : 0);
+  if (!loss_masking_) return;
   auto* holder = find(env.addressed);
   if (holder == nullptr) return;
   auto it = holder->dup_table.find(env.sender.raw);
@@ -1141,6 +1023,21 @@ void Domain::record_served_reply(const Envelope& env,
   txn.fwd_env = Envelope{};  // release the stored forward
 }
 
+void Domain::open_root_span(Envelope& env, std::string_view prefix,
+                            std::string_view suffix, std::string_view label) {
+  env.trace.set_sampled();
+  env.trace.trace_id = tracer_.begin_trace();
+  const std::uint32_t root = tracer_.begin_span(
+      env.trace.trace_id, 0,
+      std::string(prefix)
+          .append(obs::opcode_label(env.request.code()))
+          .append(suffix),
+      "send", env.sender.raw, loop_.now());
+  tracer_.set_process_label(env.sender.raw, label);
+  tracer_.note_send(env.sender.raw, root);
+  env.trace.parent_span = root;
+}
+
 void Domain::set_latency_slo(std::uint16_t code, sim::SimDuration budget) {
   const bool fresh = slo_.find(code) == nullptr;
   slo_.set_budget(code, budget);
@@ -1161,14 +1058,13 @@ void Domain::enable_watchdog(sim::SimDuration threshold,
   wd_threshold_ = threshold;
   wd_period_ = period > 0 ? period : threshold / 2;
   if (wd_period_ <= 0) wd_period_ = 1;
-  if (wd_threshold_ > 0 && !wd_armed_) {
-    arm_watchdog(loop_.now() + wd_period_);
-  }
+  arm_watchdog();
 }
 
-void Domain::arm_watchdog(sim::SimTime at) {
+void Domain::arm_watchdog() {
+  if (wd_threshold_ <= 0 || wd_armed_) return;
   wd_armed_ = true;
-  loop_.schedule_at(at, [this] { watchdog_scan(); });
+  loop_.schedule_at(loop_.now() + wd_period_, [this] { watchdog_scan(); });
 }
 
 void Domain::watchdog_scan() {
@@ -1196,7 +1092,7 @@ void Domain::watchdog_scan() {
   }
   // Dormancy: with no outstanding send there is nothing to watch — stop
   // rescheduling so run_until_idle() can drain; Process::send re-arms.
-  if (outstanding) arm_watchdog(now + wd_period_);
+  if (outstanding) arm_watchdog();
 }
 
 std::vector<Domain::FiberHotspot> Domain::top_fibers(std::size_t k) const {

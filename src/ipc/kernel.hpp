@@ -24,6 +24,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -360,6 +361,15 @@ class Process {
  private:
   V_HOT_PATH
   detail::ProcessRecord& record() const noexcept { return *record_; }
+  /// Open this process's next transaction, for send() and send_to_group()
+  /// alike: block it on `holder`, expose `segments`, draw the txn id, make
+  /// the head-sampling decision (a kept transaction gets a root span named
+  /// `span_name` + opcode), record kSend toward `peer` (a pid or a group)
+  /// and arm the watchdog.  Returns the stamped request envelope.
+  V_HOT_PATH
+  Envelope open_transaction(const msg::Message& request, Segments segments,
+                            ProcessId holder, std::uint32_t peer,
+                            std::string_view span_name);
 
   Domain* domain_ = nullptr;
   detail::ProcessRecord* record_ = nullptr;
@@ -432,6 +442,8 @@ class Host {
   // Envelope-carrying packet never round-trips through a heap allocation
   // between stash and re-schedule.
   std::vector<sim::EventLoop::Action> stash_;
+  /// Queue one packet behind the pause, for resume() to replay.
+  void stash(sim::EventLoop::Action packet);
   std::uint16_t next_local_pid_;
   std::size_t spawned_ = 0;
   // Flat map: GetPid probes this on every service lookup; registrations
@@ -586,8 +598,7 @@ class Domain {
   friend class Host;
   friend class Process;
 
-  detail::ProcessRecord* find(ProcessId pid);
-  const detail::ProcessRecord* find(ProcessId pid) const;
+  detail::ProcessRecord* find(ProcessId pid) const;
   detail::ProcessRecord& create_record(Host& host, std::string name);
 
   // --- envelope slab (see detail::EnvNode) ---------------------------------
@@ -619,12 +630,46 @@ class Domain {
   void grow_env_slab();
 
   /// Schedule delivery of `env` to `dest` after the appropriate hop delay
-  /// from `from_host`.  Handles dead destinations with synthesized replies.
-  void deliver(HostId from_host, Envelope env, ProcessId dest);
-  /// As above; group sends pass synth_on_dead=false so a dead member does
-  /// not beat a live member's real reply.
+  /// from `from_host`.  Handles dead destinations with synthesized replies,
+  /// unless `synth_on_dead` is false (group fan-out: a dead member must not
+  /// beat a live member's real reply).
   void deliver(HostId from_host, Envelope env, ProcessId dest,
-               bool synth_on_dead);
+               bool synth_on_dead = true);
+  /// Group fan-out, the one loop behind send_to_group, forward_to_group and
+  /// the replay of a stored group forward: deliver a copy of `env` to every
+  /// live member of `group` except `skip`.  `count` bumps the request
+  /// counters per member (forward_to_group does; send_to_group does not).
+  /// Returns the number of members reached.
+  std::size_t deliver_to_group(HostId from_host, const Envelope& env,
+                               GroupId group, ProcessId skip, bool count);
+  /// Count one request delivery from `from_host` to `dest`.
+  V_HOT_PATH
+  void count_request(HostId from_host, ProcessId dest) noexcept {
+    ++stats_.messages_sent;
+    if (!dest.local_to(from_host)) ++stats_.remote_messages;
+  }
+
+  /// What the link does to one packet (pass_link).
+  struct Passage {
+    sim::SimDuration hop = 0;      ///< delay of the packet of record
+    sim::SimDuration dup_hop = 0;  ///< delay of the duplicate copy
+    bool duplicate = false;        ///< the link also delivers a copy
+    bool lost = false;             ///< the packet of record was dropped
+  };
+  /// The link verdict for one request or reply packet from `from_host` to
+  /// `to`: the hop delay, plus, under loss masking and on a remote hop
+  /// only, the plan's drop/duplicate/reorder decision, each fault recorded
+  /// as kFaultDup/kFaultDrop with the given flight fields.  Callers
+  /// schedule the duplicate before the packet of record.
+  Passage pass_link(HostId from_host, ProcessId to, std::uint32_t actor,
+                    std::uint32_t peer, std::uint16_t code,
+                    std::uint64_t seq, std::uint8_t flags);
+  /// Open the root span of `env`'s transaction: a fresh trace and one
+  /// "send" span named `prefix` + opcode + `suffix`, keyed by the sender's
+  /// pid so the reply closes it.  A non-empty `label` names the sender's
+  /// thread in the Chrome export.  Called only while the tracer is active.
+  void open_root_span(Envelope& env, std::string_view prefix,
+                      std::string_view suffix, std::string_view label);
 
   /// Schedule delivery of `from`'s reply to the Send that delivered `env`,
   /// stamped with env's transaction id.  `hint`/`origin` are the
@@ -650,9 +695,6 @@ class Domain {
   /// linked into the destination's mailbox in place, rejected ones release
   /// the slot.
   void arrive_slot(std::uint32_t slot, ProcessId dest, bool synth_on_dead);
-  /// Re-entry shim for packets that left the slab (pause-stash flushes):
-  /// re-acquires a slot and lands through arrive_slot.
-  void arrive(Envelope env, ProcessId dest, bool synth_on_dead);
   /// Put one reply packet on the wire toward `to`, applying fault verdicts.
   /// `answered_seq` is the transaction the reply answers.
   void send_reply_packet(HostId from_host, const msg::Message& reply,
@@ -673,6 +715,20 @@ class Domain {
                           std::uint32_t txn) noexcept {
     return rec != nullptr && static_cast<std::uint32_t>(rec->send_seq) == txn;
   }
+  /// The sender of `env` while `env`'s transaction is still open (it is
+  /// the sender's current one, and the sender is alive and blocked in it),
+  /// else null.  Move*, fetch_name and the retransmit timer ask this.
+  detail::ProcessRecord* txn_sender(const Envelope& env) {
+    auto* rec = find(env.sender);
+    return current_txn(rec, env.txn_seq) && rec->alive && rec->awaiting_reply
+               ? rec
+               : nullptr;
+  }
+  /// The host a packet for `rec` must queue behind: its own, while paused.
+  V_HOT_PATH
+  static Host* paused_host(const detail::ProcessRecord* rec) noexcept {
+    return rec != nullptr && rec->host->paused_ ? rec->host : nullptr;
+  }
   /// True (and, under a plan, counted) when a reply stamped `answered_seq`
   /// answers a transaction `rec` has moved past.
   bool stale_reply(const detail::ProcessRecord* rec,
@@ -686,16 +742,19 @@ class Domain {
   /// Client-side retransmission: re-deliver a copy of the send every
   /// (backed-off) timeout until the transaction closes or the budget is
   /// exhausted, then surface kNoReply.
-  void arm_retransmit(const Envelope& env, ProcessId dest);
   void schedule_retransmit(Envelope env, ProcessId dest,
                            sim::SimDuration timeout, std::uint32_t remaining);
   /// Server-side at-most-once filter.  True = the envelope was a duplicate
   /// and has been fully handled (suppressed / forward re-driven / cached
   /// reply replayed); false = genuinely new, deliver it.
   bool suppress_duplicate(detail::ProcessRecord& server, const Envelope& env);
-  /// Record that the received envelope was forwarded (rewritten as `env`),
-  /// so a duplicate of the original request re-drives the forward.
-  void note_forward(const Envelope& env, ProcessId new_dest, GroupId group);
+  /// What every Forward and group Forward by `forwarder` records before
+  /// `env` (as rewritten) moves on to `new_dest` or `group`: the forwards
+  /// counter, the lint ledger settlement and a kForward flight record, and
+  /// under loss masking the forward in the holder's transaction slot, so a
+  /// duplicate of the original request re-drives it.
+  void note_forward(ProcessId forwarder, const Envelope& env,
+                    ProcessId new_dest, GroupId group);
   /// Record a reply to `env` in the transaction slot it answers (at
   /// env.addressed), if that slot still holds env's transaction.
   void record_served_reply(const Envelope& env, const msg::Message& reply,
@@ -733,7 +792,8 @@ class Domain {
   // Watchdog state (enable_watchdog): scans are self-rescheduling events
   // that go dormant when nothing is blocked, so an idle loop still drains.
   void watchdog_scan();
-  void arm_watchdog(sim::SimTime at);
+  /// Schedule the next scan, unless disabled or one is already pending.
+  void arm_watchdog();
   sim::SimDuration wd_threshold_ = 0;  ///< 0 = watchdog disabled
   sim::SimDuration wd_period_ = 0;
   bool wd_armed_ = false;

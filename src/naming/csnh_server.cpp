@@ -189,10 +189,8 @@ sim::Co<void> CsnhServer::run(ipc::Process self) {
         if (auto& tr = self.domain().tracer();
             tr.active() && env.trace.trace_id != 0) {
           const auto t = self.domain().now();
-          const std::uint32_t mark =
-              tr.begin_span(env.trace.trace_id, env.trace.parent_span,
-                            "shed " + metrics_scope_, "mark", pid_.raw, t);
-          tr.end_span(mark, t);
+          tr.mark(env.trace.trace_id, env.trace.parent_span,
+                  "shed " + metrics_scope_, pid_.raw, t, t);
         }
         reply_csname(self, env, msg::make_reply(ReplyCode::kBusy));
         continue;

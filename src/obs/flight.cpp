@@ -1,7 +1,8 @@
 #include "obs/flight.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <string>
+#include <utility>
 
 #include "obs/trace.hpp"
 
@@ -117,7 +118,6 @@ std::string FlightRecorder::chrome_json() const {
     chrome::thread_meta(out, static_cast<std::uint32_t>(h),
                         labels_[h].empty() ? "host" : labels_[h]);
   }
-  char buf[32];
   for (const auto& [ev, host] : merged) {
     const FlightKind kind = static_cast<FlightKind>(ev->kind);
     std::string name(flight_kind_label(kind));
@@ -133,24 +133,13 @@ std::string FlightRecorder::chrome_json() const {
     cat += flight_kind_label(kind);
     chrome::begin_complete(out, static_cast<double>(ev->at) / 1000.0, 0.0,
                            static_cast<std::uint32_t>(host), name, cat);
-    std::snprintf(buf, sizeof buf, "%u", ev->seq);
-    chrome::arg(out, "seq", buf);
-    if (ev->actor != 0) {
-      std::snprintf(buf, sizeof buf, "%u", ev->actor);
-      chrome::arg(out, "actor", buf);
-    }
-    if (ev->peer != 0) {
-      std::snprintf(buf, sizeof buf, "%u", ev->peer);
-      chrome::arg(out, "peer", buf);
-    }
-    if (ev->code != 0) {
-      std::snprintf(buf, sizeof buf, "%u", ev->code);
-      chrome::arg(out, "code", buf);
-    }
-    if (ev->arg != 0) {
-      std::snprintf(buf, sizeof buf, "%llu",
-                    static_cast<unsigned long long>(ev->arg));
-      chrome::arg(out, "arg", buf);
+    chrome::arg(out, "seq", std::to_string(ev->seq));
+    // Zero fields are left out: the record did not use them.
+    const std::pair<const char*, std::uint64_t> fields[] = {
+        {"actor", ev->actor}, {"peer", ev->peer}, {"code", ev->code},
+        {"arg", ev->arg}};
+    for (const auto& [key, value] : fields) {
+      if (value != 0) chrome::arg(out, key, std::to_string(value));
     }
     if ((ev->flags & 0x1) != 0) chrome::arg(out, "sampled", "1");
     chrome::end_complete(out);
@@ -160,12 +149,7 @@ std::string FlightRecorder::chrome_json() const {
 }
 
 bool FlightRecorder::write_chrome_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string doc = chrome_json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
+  return chrome::write_file(path, chrome_json());
 }
 
 void FlightRecorder::clear() {

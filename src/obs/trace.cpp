@@ -91,6 +91,14 @@ void end_complete(std::string& out) { out += "}}"; }
 
 void end_doc(std::string& out) { out += "\n]}\n"; }
 
+bool write_file(const std::string& path, const std::string& doc) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+  std::fclose(f);
+  return ok;
+}
+
 }  // namespace chrome
 
 std::string_view opcode_label(std::uint16_t code) {
@@ -151,6 +159,15 @@ void TraceSink::end_span(std::uint32_t id, sim::SimTime end) {
   if (Span* span = find_mut(id)) span->end = end;
 }
 
+std::uint32_t TraceSink::mark(std::uint64_t trace_id, std::uint32_t parent,
+                             std::string name, std::uint32_t pid,
+                             sim::SimTime start, sim::SimTime end) {
+  const std::uint32_t id =
+      begin_span(trace_id, parent, std::move(name), "mark", pid, start);
+  end_span(id, end);
+  return id;
+}
+
 void TraceSink::annotate(std::uint32_t id, std::string key,
                          std::string value) {
   if (Span* span = find_mut(id)) {
@@ -168,35 +185,21 @@ void TraceSink::note_send(std::uint32_t sender_pid, std::uint32_t span_id) {
   open_sends_[sender_pid] = span_id;
 }
 
-std::uint32_t TraceSink::open_send(std::uint32_t sender_pid) const {
-  auto it = open_sends_.find(sender_pid);
-  return it != open_sends_.end() ? it->second : 0;
-}
-
 void TraceSink::end_send_slow(std::uint32_t sender_pid,
-                              std::uint16_t reply_code, sim::SimTime now) {
+                              std::uint16_t reply_code, sim::SimTime started,
+                              sim::SimTime now) {
   auto it = open_sends_.find(sender_pid);
-  if (it == open_sends_.end()) return;
-  const std::uint32_t id = it->second;
-  open_sends_.erase(it);
-  end_span(id, now);
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%u", reply_code);
-  annotate(id, "reply_code", buf);
-}
-
-void TraceSink::note_error_reply(std::uint32_t sender_pid,
-                                 std::uint16_t reply_code,
-                                 sim::SimTime started, sim::SimTime now) {
-  if (started < 0) started = now;
-  const std::uint32_t id =
-      begin_span(begin_trace(), 0, "error-reply", "mark", sender_pid,
-                 started);
-  end_span(id, now);
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%u", reply_code);
-  annotate(id, "reply_code", buf);
-  annotate(id, "unsampled", "1");
+  if (it != open_sends_.end()) {
+    const std::uint32_t id = it->second;
+    open_sends_.erase(it);
+    end_span(id, now);
+    annotate(id, "reply_code", std::to_string(reply_code));
+  } else if (active_ && reply_code != 0) {
+    const std::uint32_t id =
+        mark(begin_trace(), 0, "error-reply", sender_pid, started, now);
+    annotate(id, "reply_code", std::to_string(reply_code));
+    annotate(id, "unsampled", "1");
+  }
 }
 
 void TraceSink::clear() {
@@ -303,12 +306,7 @@ std::string TraceSink::chrome_json() const {
 }
 
 bool TraceSink::write_chrome_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string doc = chrome_json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
+  return chrome::write_file(path, chrome_json());
 }
 
 }  // namespace v::obs

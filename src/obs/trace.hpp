@@ -55,6 +55,8 @@ void begin_complete(std::string& out, double ts_us, double dur_us,
 void arg(std::string& out, std::string_view key, std::string_view value);
 void end_complete(std::string& out);
 void end_doc(std::string& out);
+/// Write a finished document to `path`.  Returns false on I/O failure.
+bool write_file(const std::string& path, const std::string& doc);
 }  // namespace chrome
 
 /// Trace state carried inside ipc::Envelope and propagated by Send /
@@ -108,6 +110,12 @@ class TraceSink {
                            std::uint32_t pid, sim::SimTime start);
   void end_span(std::uint32_t id, sim::SimTime end);
   void annotate(std::uint32_t id, std::string key, std::string value);
+  /// A closed "mark" span from `start` to `end` (an instant when they are
+  /// equal): an event on the timeline with no work of its own — a
+  /// retransmit, a shed, an unsampled failure.  Returns its id.
+  std::uint32_t mark(std::uint64_t trace_id, std::uint32_t parent,
+                     std::string name, std::uint32_t pid, sim::SimTime start,
+                     sim::SimTime end);
 
   /// Remember a display label for a pid (Chrome thread_name metadata).
   void set_process_label(std::uint32_t pid, std::string_view label);
@@ -115,17 +123,21 @@ class TraceSink {
   // Root-span bookkeeping for kernel sends.  A V process has exactly one
   // outstanding Send, so the open root span is keyed by the sender's pid.
   void note_send(std::uint32_t sender_pid, std::uint32_t span_id);
-  [[nodiscard]] std::uint32_t open_send(std::uint32_t sender_pid) const;
-  /// Close the sender's root span (no-op when it has none open).  The
-  /// empty check is inline: this sits on every reply delivery, and with
-  /// the tracer idle (the default) the map is empty — no hash probe, no
+  /// The reply to the sender's Send (started at `started`) landed: close
+  /// its root span.  With none open, a failed send (non-zero `reply_code`)
+  /// on an active sink still leaves a closed "error-reply" mark span,
+  /// tagged unsampled: its hops are gone (head sampling cannot resurrect
+  /// them), but the error, its latency and its trace-less-ness are on the
+  /// timeline, and the flight recorder has the per-host event stream.  The
+  /// idle check is inline: this sits on every reply delivery, and with the
+  /// tracer idle (the default) nothing is open — no hash probe, no
   /// out-of-line call.
   V_HOT_PATH
   void end_send(std::uint32_t sender_pid, std::uint16_t reply_code,
-                sim::SimTime now) {
-    if (open_sends_.empty()) return;
-    // vlint: allow(hot-path-alloc): only while the tracer is active (a root span is open)
-    end_send_slow(sender_pid, reply_code, now);
+                sim::SimTime started, sim::SimTime now) {
+    if (open_sends_.empty() && (!active_ || reply_code == 0)) return;
+    // vlint: allow(hot-path-alloc): only with a root span open, or a failed send while tracing
+    end_send_slow(sender_pid, reply_code, started, now);
   }
 
   /// Head-based sampling policy (kernel consults it at the root span).
@@ -133,14 +145,6 @@ class TraceSink {
   [[nodiscard]] const SamplePolicy& sampler() const noexcept {
     return sampler_;
   }
-
-  /// Tail record for an anomaly the head decision skipped: a failed send
-  /// whose envelope was unsampled still leaves a closed "mark" span (its
-  /// hops are gone — head sampling cannot resurrect them — but the error,
-  /// its latency, and its trace-less-ness are on the timeline, and the
-  /// flight recorder has the per-host event stream).
-  void note_error_reply(std::uint32_t sender_pid, std::uint16_t reply_code,
-                        sim::SimTime started, sim::SimTime now);
 
   [[nodiscard]] const std::vector<Span>& spans() const noexcept {
     return spans_;
@@ -167,7 +171,7 @@ class TraceSink {
   }
 
   void end_send_slow(std::uint32_t sender_pid, std::uint16_t reply_code,
-                     sim::SimTime now);
+                     sim::SimTime started, sim::SimTime now);
 
   bool active_ = false;
   std::uint64_t next_trace_ = 1;

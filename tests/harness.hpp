@@ -31,4 +31,13 @@ inline sim::Co<void> echo_server(ipc::Process self) {
   }
 }
 
+/// A server that answers every request kOk after `work` of simulated time.
+inline sim::Co<void> slow_server(ipc::Process self, sim::SimDuration work) {
+  for (;;) {
+    auto env = co_await self.receive();
+    co_await self.delay(work);
+    self.reply(env, msg::make_reply(ReplyCode::kOk));
+  }
+}
+
 }  // namespace v::test

@@ -285,6 +285,65 @@ TEST(FaultIpc, PausedHostSuppressesRetransmitsUnderLossyPlan) {
       << dom.lint().first_dump();
 }
 
+/// A client on ws1 Sends to a forwarder on its own host, which forwards
+/// every request across a lossy ws1 -> ws2 link to a counting server, by
+/// pid or as the only member of a group.  A lost forward is healed by the
+/// client's retransmit: it lands at the forwarder, whose duplicate table
+/// re-drives the stored forward, and the server's own suppression makes a
+/// re-drive of a forward that did arrive harmless.
+void expect_lost_forwards_redriven(bool to_group) {
+  constexpr ipc::GroupId kGroup = 0xF0D1;
+  ipc::Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  const ipc::ProcessId server = ws2.spawn("server", [](ipc::Process self) {
+    self.join_group(kGroup);
+    return counting_server(self);
+  });
+  const ipc::ProcessId forwarder =
+      ws1.spawn("forwarder", [to_group, server](ipc::Process self) -> Co<void> {
+        for (;;) {
+          auto env = co_await self.receive();
+          if (to_group) {
+            self.forward_to_group(env, kGroup);
+          } else {
+            self.forward(env, server);
+          }
+        }
+      });
+
+  fault::FaultPlan plan(0xFA00F);
+  fault::LinkFaults lossy;
+  lossy.drop = 0.2;
+  plan.set_link(ws1.id(), ws2.id(), lossy);  // replies cross unharmed
+  dom.install_faults(plan);
+
+  constexpr std::uint32_t kSends = 30;
+  test::run_client(dom, ws1, [&, forwarder](ipc::Process self) -> Co<void> {
+    for (std::uint32_t i = 1; i <= kSends; ++i) {
+      msg::Message req;
+      req.set_code(0x0100);
+      const auto reply = co_await self.send(req, forwarder);
+      EXPECT_EQ(reply.reply_code(), ReplyCode::kOk) << "send " << i;
+      if (reply.reply_code() != ReplyCode::kOk) co_return;
+      EXPECT_EQ(reply.u32(4), i);  // the server body ran once per send
+    }
+  });
+  EXPECT_GT(plan.stats().drops, 0u);
+  EXPECT_GT(plan.stats().forwards_replayed, 0u);
+  EXPECT_EQ(plan.stats().budget_exhausted, 0u);
+  EXPECT_EQ(dom.lint().counters().duplicate_replies, 0u)
+      << dom.lint().first_dump();
+}
+
+TEST(FaultIpc, LostForwardIsRedrivenAndServedOnce) {
+  expect_lost_forwards_redriven(/*to_group=*/false);
+}
+
+TEST(FaultIpc, LostGroupForwardIsRedrivenAndServedOnce) {
+  expect_lost_forwards_redriven(/*to_group=*/true);
+}
+
 // --- lossless plans: no loss masking -----------------------------------------
 
 TEST(FaultIpc, CrashOnlyPlanNeverTimesOutALiveServer) {
@@ -296,14 +355,9 @@ TEST(FaultIpc, CrashOnlyPlanNeverTimesOutALiveServer) {
   auto& ws1 = dom.add_host("ws1");
   auto& ws2 = dom.add_host("ws2");
   auto& spare = dom.add_host("spare");
-  const ipc::ProcessId server =
-      ws2.spawn("slow", [](ipc::Process self) -> Co<void> {
-        for (;;) {
-          auto env = co_await self.receive();
-          co_await self.delay(500 * kMillisecond);
-          self.reply(env, msg::make_reply(ReplyCode::kOk));
-        }
-      });
+  const ipc::ProcessId server = ws2.spawn("slow", [](ipc::Process self) {
+    return test::slow_server(self, 500 * kMillisecond);
+  });
 
   fault::FaultPlan plan(0xFA008);
   plan.crash_at(10 * sim::kSecond, spare.id());
@@ -511,14 +565,9 @@ TEST(FaultIpc, StaleCopyOnDeadHostFailsNoNewerSend) {
   auto& ws2 = dom.add_host("ws2");
   auto& ws3 = dom.add_host("ws3");
   const ipc::ProcessId fast = ws2.spawn("fast", counting_server);
-  const ipc::ProcessId slow =
-      ws3.spawn("slow", [](ipc::Process self) -> Co<void> {
-        for (;;) {
-          auto env = co_await self.receive();
-          co_await self.delay(50 * kMillisecond);
-          self.reply(env, msg::make_reply(ReplyCode::kOk));
-        }
-      });
+  const ipc::ProcessId slow = ws3.spawn("slow", [](ipc::Process self) {
+    return test::slow_server(self, 50 * kMillisecond);
+  });
 
   // Every client->fast packet is held back 20 ms, longer than the 10 ms
   // retransmit timeout: the retransmitted copy trails the original by the

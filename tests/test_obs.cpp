@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "fault/fault.hpp"
+#include "harness.hpp"
 #include "msg/request_codes.hpp"
 #include "naming/protocol.hpp"
 #include "obs/flight.hpp"
@@ -421,6 +423,76 @@ TEST(Sampling, DecisionSequenceIsDeterministic) {
   c.set_opcode_rate(7, 0.0);
   EXPECT_TRUE(c.decide(9));
   EXPECT_FALSE(c.decide(7));
+}
+
+using SpanArgs = std::vector<std::pair<std::string, std::string>>;
+
+TEST(Sampling, RetransmitPromotesAnUnsampledSendOnce) {
+  // Head sampling said no, but the Send needed a retransmit: the kernel
+  // opens its root span late, once, and the reply closes it.  The server
+  // answers after 25 ms, so the 10 ms retransmit fires while it works; the
+  // dead link to a spare host is what makes the plan lossy.
+  ipc::Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  fault::FaultPlan plan(0x0B5);
+  fault::LinkFaults dead_wire;
+  dead_wire.drop = 1.0;
+  plan.set_link(ws1.id(), dom.add_host("spare").id(), dead_wire);
+  dom.install_faults(plan);
+  dom.tracer().enable();
+  dom.tracer().sampler().set_rate(0.0);
+  const ipc::ProcessId server = ws2.spawn("slow", [](ipc::Process self) {
+    return test::slow_server(self, 25 * sim::kMillisecond);
+  });
+  test::run_client(dom, ws1, [server](ipc::Process self) -> Co<void> {
+    msg::Message req;
+    req.set_code(0x0100);
+    EXPECT_EQ((co_await self.send(req, server)).reply_code(), ReplyCode::kOk);
+  });
+  ASSERT_GT(plan.stats().retransmits, 0u);
+
+  std::vector<const obs::Span*> roots;
+  std::vector<const obs::Span*> marks;
+  for (const auto& s : dom.tracer().spans()) {
+    (s.category == "send" ? roots : marks).push_back(&s);
+  }
+  ASSERT_EQ(roots.size(), 1u);
+  EXPECT_EQ(roots[0]->name, "send op-0x0100 (promoted)");
+  EXPECT_GE(roots[0]->end, roots[0]->start);  // the reply closed it
+  EXPECT_EQ(roots[0]->args, (SpanArgs{{"reply_code", "0"}}));
+  ASSERT_EQ(marks.size(), plan.stats().retransmits);
+  for (const obs::Span* mark : marks) {
+    EXPECT_EQ(mark->name, "retransmit");
+    EXPECT_EQ(mark->category, "mark");
+    EXPECT_EQ(mark->parent, roots[0]->id);
+    EXPECT_EQ(mark->end, mark->start);
+  }
+}
+
+TEST(Sampling, UnsampledFailedSendLeavesOneErrorMark) {
+  // A failure the head decision skipped still reaches the timeline: one
+  // closed "mark" span, tagged unsampled, covering the failed Send.
+  ipc::Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  const ipc::ProcessId gone = ws2.spawn("gone", test::echo_server);
+  ws2.crash();
+  dom.tracer().enable();
+  dom.tracer().sampler().set_rate(0.0);
+  test::run_client(dom, ws1, [gone](ipc::Process self) -> Co<void> {
+    EXPECT_EQ((co_await self.send(msg::Message{}, gone)).reply_code(),
+              ReplyCode::kNoReply);
+  });
+
+  ASSERT_EQ(dom.tracer().spans().size(), 1u);
+  const obs::Span& mark = dom.tracer().spans()[0];
+  EXPECT_EQ(mark.name, "error-reply");
+  EXPECT_EQ(mark.category, "mark");
+  EXPECT_EQ(mark.parent, 0u);
+  EXPECT_GT(mark.end, mark.start);  // spans the Send, start to failure
+  EXPECT_EQ(mark.args, (SpanArgs{{"reply_code", "12"}, {"unsampled", "1"}}));
+  EXPECT_EQ(dom.tracer().sampler().sampled(), 0u);
 }
 
 // --- flight recorder (PR 8) -----------------------------------------------
