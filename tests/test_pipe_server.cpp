@@ -209,6 +209,21 @@ TEST(PipeServer, ReadWriteEndRolesEnforced) {
   });
 }
 
+// PROTOCOL.md 11: every gated mutation bumps the generation, so a refused
+// open-with-create must not leave a pipe behind with the generation unmoved.
+TEST(PipeServer, RefusedOpenWithCreateCreatesNothing) {
+  PipeFixture fx;
+  fx.run_client([&fx](ipc::Process, svc::Rt rt) -> Co<void> {
+    rt.set_current({fx.pipe_pid, naming::kDefaultContext});
+    const auto gen = fx.pipes_srv.generation(naming::kDefaultContext);
+    auto both = co_await rt.open("p2", kOpenRead | kOpenWrite | kOpenCreate);
+    EXPECT_EQ(both.code(), ReplyCode::kBadArgs);
+    EXPECT_EQ(fx.pipes_srv.pipe_count(), 0u);
+    EXPECT_EQ(fx.pipes_srv.buffered("p2").code(), ReplyCode::kNotFound);
+    EXPECT_EQ(fx.pipes_srv.generation(naming::kDefaultContext), gen);
+  });
+}
+
 TEST(PipeServer, CapacityLimitRejectsOversizedBacklog) {
   PipeFixture fx2;
   servers::PipeServer small_server(/*capacity_bytes=*/100);
