@@ -6,11 +6,13 @@
 #   scripts/ci.sh asan     # Debug + -fsanitize=address,undefined + ctest
 #   scripts/ci.sh sanitize # UBSan run of test_engine, test_cached_open, the
 #                          # flat-table suites (test_file_server, test_chk,
-#                          # test_name_cache) and the transaction-rule
+#                          # test_name_cache), the transaction-rule
 #                          # suites (test_ipc, test_ipc_property, test_fault,
-#                          # test_crash_replies), plus a TSan build
-#                          # (build-only: the sim is single-threaded, TSan
-#                          # proves it still links)
+#                          # test_crash_replies) and the flat-context server
+#                          # suites (test_conformance_matrix,
+#                          # test_servers_misc, test_pipe_server), plus a
+#                          # TSan build (build-only: the sim is
+#                          # single-threaded, TSan proves it still links)
 #   scripts/ci.sh lint     # clang-tidy over src/ (skips if not installed;
 #                          # skips unchanged files via a content-hash cache)
 #   scripts/ci.sh slint    # V-lint static analysis (tools/vlint): tree must
@@ -54,10 +56,13 @@ run_sanitize() {
   # test_ipc and test_ipc_property cover the kernel's transaction rule,
   # which runs on every domain's IPC path, and test_fault and
   # test_crash_replies cover it under crash-only and lossy plans
-  # (DESIGN.md 4h).
+  # (DESIGN.md 4h).  test_conformance_matrix, test_servers_misc and
+  # test_pipe_server drive every op through the FlatContextServer base
+  # (DESIGN.md 4o).
   local suites=(
     test_engine test_cached_open test_file_server test_chk test_name_cache
     test_ipc test_ipc_property test_fault test_crash_replies
+    test_conformance_matrix test_servers_misc test_pipe_server
   )
   cmake --preset ubsan
   cmake --build --preset ubsan -j "$(nproc)" --target "${suites[@]}"

@@ -5,18 +5,21 @@
 
 namespace v::io {
 
-sim::Co<Result<std::size_t>> BufferInstance::read_block(
-    ipc::Process& self, std::uint32_t block, std::span<std::byte> out) {
-  (void)self;
-  if ((flags_ & kInstanceReadable) == 0) co_return ReplyCode::kNotReadable;
-  const std::size_t offset =
-      static_cast<std::size_t>(block) * block_bytes_;
-  if (offset >= data_.size()) co_return ReplyCode::kEndOfFile;
+Result<std::size_t> copy_block(std::span<const std::byte> data,
+                               std::uint32_t block, std::span<std::byte> out,
+                               std::size_t block_bytes) {
+  const std::size_t offset = static_cast<std::size_t>(block) * block_bytes;
+  if (offset >= data.size()) return ReplyCode::kEndOfFile;
   const std::size_t n =
-      std::min({out.size(), static_cast<std::size_t>(block_bytes_),
-                data_.size() - offset});
-  if (n > 0) std::memcpy(out.data(), data_.data() + offset, n);
-  co_return n;
+      std::min({out.size(), block_bytes, data.size() - offset});
+  if (n > 0) std::memcpy(out.data(), data.data() + offset, n);
+  return n;
+}
+
+sim::Co<Result<std::size_t>> BufferInstance::read_block(
+    ipc::Process& /*self*/, std::uint32_t block, std::span<std::byte> out) {
+  if ((flags_ & kInstanceReadable) == 0) co_return ReplyCode::kNotReadable;
+  co_return copy_block(data_, block, out, block_bytes_);
 }
 
 sim::Co<Result<std::size_t>> BufferInstance::write_block(

@@ -51,6 +51,12 @@ class InstanceObject {
   virtual void release(ipc::Process& /*self*/) {}
 };
 
+/// Copy block `block` of `data` (blocks of `block_bytes`) into `out`, at
+/// most out.size() bytes.  kEndOfFile when the block starts past the end.
+Result<std::size_t> copy_block(std::span<const std::byte> data,
+                               std::uint32_t block, std::span<std::byte> out,
+                               std::size_t block_bytes = 512);
+
 /// An in-memory byte-buffer instance: read over a snapshot, optional write
 /// interception (used for context directories, mailboxes, spool jobs...).
 class BufferInstance : public InstanceObject {

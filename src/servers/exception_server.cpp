@@ -7,12 +7,9 @@
 
 namespace v::servers {
 
-using naming::DescriptorType;
-using naming::ObjectDescriptor;
-
 ExceptionServer::ExceptionServer(bool register_service,
                                  naming::TeamConfig team)
-    : CsnhServer(team), register_service_(register_service) {}
+    : FlatContextServer(register_service, team) {}
 
 V_BORROWS_SPAN
 sim::Co<Result<std::uint16_t>> ExceptionServer::raise(
@@ -31,14 +28,6 @@ sim::Co<Result<std::uint16_t>> ExceptionServer::raise(
   co_return static_cast<std::uint16_t>(reply.u16(kOffExcReportId));
 }
 
-sim::Co<void> ExceptionServer::on_start(ipc::Process& self) {
-  if (register_service_) {
-    self.set_pid(ipc::ServiceId::kExceptionServer, self.pid(),
-                 ipc::Scope::kLocal);
-  }
-  co_return;
-}
-
 V_BORROWS_SPAN
 sim::Co<msg::Message> ExceptionServer::handle_custom(ipc::Process& self,
                                                      ipc::Envelope& env) {
@@ -53,8 +42,8 @@ sim::Co<msg::Message> ExceptionServer::handle_custom(ipc::Process& self,
         env, std::as_writable_bytes(std::span(detail)), 0);
     if (!fetched.ok()) co_return msg::make_reply(fetched.code());
   }
-  Report report;
-  report.id = next_id_++;
+  ExceptionReport report;
+  report.id = next_id();
   report.faulting = env.sender;
   report.code = static_cast<FaultCode>(env.request.u16(kOffExcCode));
   report.detail = std::move(detail);
@@ -65,90 +54,32 @@ sim::Co<msg::Message> ExceptionServer::handle_custom(ipc::Process& self,
   {
     chk::AccessGuard guard(self, reports_cell_,
                            chk::AccessGuard::Mode::kWrite);
-    reports_.emplace(name, std::move(report));
+    records().emplace(name, std::move(report));
   }
   metric_inc(self, "exceptions_raised");
   co_return reply;
 }
 
-sim::Co<naming::CsnhServer::LookupResult> ExceptionServer::lookup(
-    ipc::Process& /*self*/, naming::ContextId /*ctx*/,
-    std::string_view component) {
-  auto it = reports_.find(component);
-  if (it == reports_.end()) co_return LookupResult::missing();
-  co_return LookupResult::object(it->second.id);
+ReplyCode ExceptionServer::check_create(std::string_view /*leaf*/) const {
+  return ReplyCode::kIllegalRequest;
 }
 
-naming::ObjectDescriptor ExceptionServer::describe_report(
-    const std::string& name, const Report& r) const {
-  ObjectDescriptor desc;
-  desc.type = DescriptorType::kDevice;  // report record tag
-  desc.flags = naming::kReadable;
-  desc.size = static_cast<std::uint32_t>(r.detail.size());
-  desc.object_id =
-      (static_cast<std::uint32_t>(r.id) << 16) |
-      static_cast<std::uint32_t>(r.code);
+void ExceptionServer::describe_record(naming::ObjectDescriptor& desc,
+                                      const ExceptionReport& r,
+                                      sim::SimTime /*now*/) const {
+  desc.object_id = (static_cast<std::uint32_t>(r.id) << 16) |
+                   static_cast<std::uint32_t>(r.code);
   desc.server_pid = r.faulting.raw;  // which process faulted
   desc.mtime = r.raised;
   desc.owner = "exception";
-  desc.name = name;
-  return desc;
 }
 
-sim::Co<Result<naming::ObjectDescriptor>> ExceptionServer::describe(
-    ipc::Process& /*self*/, naming::ContextId ctx, std::string_view leaf) {
-  if (leaf.empty()) {
-    ObjectDescriptor desc;
-    desc.type = DescriptorType::kContext;
-    desc.server_pid = pid().raw;
-    desc.context_id = ctx;
-    desc.size = static_cast<std::uint32_t>(reports_.size());
-    co_return desc;
-  }
-  auto it = reports_.find(leaf);
-  if (it == reports_.end()) co_return ReplyCode::kNotFound;
-  co_return describe_report(it->first, it->second);
-}
-
-V_GATED_MUTATION
-sim::Co<ReplyCode> ExceptionServer::remove(ipc::Process& self,
-                                           naming::ContextId ctx,
-                                           std::string_view leaf) {
-  note_name_write(self, ctx, leaf);
-  auto it = reports_.find(leaf);
-  if (it == reports_.end()) co_return ReplyCode::kNotFound;
-  reports_.erase(it);  // dismissed
-  co_return ReplyCode::kOk;
-}
-
-sim::Co<Result<std::unique_ptr<io::InstanceObject>>>
-ExceptionServer::open_object(ipc::Process& /*self*/,
-                             naming::ContextId /*ctx*/,
-                             std::string_view leaf, std::uint16_t /*mode*/) {
-  auto it = reports_.find(leaf);
-  if (it == reports_.end()) co_return ReplyCode::kNotFound;
-  std::vector<std::byte> text(it->second.detail.size());
-  if (!text.empty()) {
-    std::memcpy(text.data(), it->second.detail.data(), text.size());
-  }
-  co_return std::unique_ptr<io::InstanceObject>(
+Result<std::unique_ptr<io::InstanceObject>> ExceptionServer::open_record(
+    const std::string& /*name*/, ExceptionReport& r, std::uint16_t /*mode*/) {
+  std::vector<std::byte> text(r.detail.size());
+  if (!text.empty()) std::memcpy(text.data(), r.detail.data(), text.size());
+  return std::unique_ptr<io::InstanceObject>(
       std::make_unique<io::BufferInstance>(std::move(text)));
-}
-
-sim::Co<Result<std::vector<naming::ObjectDescriptor>>>
-ExceptionServer::list_context(ipc::Process& /*self*/,
-                              naming::ContextId /*ctx*/) {
-  std::vector<ObjectDescriptor> records;
-  records.reserve(reports_.size());
-  for (const auto& [name, r] : reports_) {
-    records.push_back(describe_report(name, r));
-  }
-  co_return records;
-}
-
-Result<std::string> ExceptionServer::context_to_name(naming::ContextId ctx) {
-  if (ctx != naming::kDefaultContext) return ReplyCode::kNoInverse;
-  return std::string("exceptions");
 }
 
 }  // namespace v::servers

@@ -8,67 +8,64 @@
 // back (a loopback peer) after a configurable round-trip delay.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "naming/csnh_server.hpp"
+#include "servers/flat_context_server.hpp"
 
 namespace v::servers {
 
-class InternetServer : public naming::CsnhServer {
+enum class ConnState { kOpen, kClosed };
+
+/// One connection: writes go to the simulated peer (which echoes them after
+/// the RTT); reads consume the inbound stream.
+struct Connection {
+  static constexpr auto kType = naming::DescriptorType::kConnection;
+  static constexpr std::uint16_t kFlags =
+      naming::kReadable | naming::kWriteable;
+  static constexpr std::string_view kContextName = "tcp";
+  static constexpr auto kService = ipc::ServiceId::kInternetServer;
+  static constexpr auto kScope = ipc::Scope::kBoth;
+
+  std::uint32_t id = 0;
+  ConnState state = ConnState::kOpen;
+  std::vector<std::byte> inbound;  ///< bytes the peer "sent" us
+  std::uint64_t bytes_sent = 0;
+  std::uint32_t opened = 0;
+  [[nodiscard]] std::uint32_t size() const {
+    return static_cast<std::uint32_t>(inbound.size());
+  }
+};
+
+class InternetServer : public FlatContextServer<Connection> {
  public:
   /// `rtt` is the simulated remote peer round-trip time per write.
   explicit InternetServer(sim::SimDuration rtt = 20 * sim::kMillisecond,
                           bool register_service = true,
                           naming::TeamConfig team = {});
 
-  enum class ConnState { kOpen, kClosed };
+  using ConnState = servers::ConnState;
 
   [[nodiscard]] std::size_t connection_count() const noexcept {
-    return connections_.size();
+    return records().size();
   }
 
  protected:
-  sim::Co<void> on_start(ipc::Process& self) override;
-  sim::Co<LookupResult> lookup(ipc::Process& self, naming::ContextId ctx,
-                               std::string_view component) override;
-  sim::Co<Result<naming::ObjectDescriptor>> describe(
-      ipc::Process& self, naming::ContextId ctx,
-      std::string_view leaf) override;
-  sim::Co<ReplyCode> create_object(ipc::Process& self, naming::ContextId ctx,
-                                   std::string_view leaf,
-                                   std::uint16_t mode) override;
-  sim::Co<ReplyCode> remove(ipc::Process& self, naming::ContextId ctx,
-                            std::string_view leaf) override;
-  sim::Co<Result<std::unique_ptr<io::InstanceObject>>> open_object(
-      ipc::Process& self, naming::ContextId ctx, std::string_view leaf,
-      std::uint16_t mode) override;
-  sim::Co<Result<std::vector<naming::ObjectDescriptor>>> list_context(
-      ipc::Process& self, naming::ContextId ctx) override;
-  Result<std::string> context_to_name(naming::ContextId ctx) override;
+  /// "host:port" names are validated on create.
+  [[nodiscard]] ReplyCode check_create(std::string_view leaf) const override;
+  /// Connection establishment costs one peer round trip.
+  sim::Co<Result<Connection>> new_record(ipc::Process& self,
+                                         std::string_view leaf) override;
+  void describe_record(naming::ObjectDescriptor& desc, const Connection& c,
+                       sim::SimTime now) const override;
+  Result<std::size_t> read_record(const Connection& c, std::uint32_t block,
+                                  std::span<std::byte> out) const override;
+  sim::Co<Result<std::size_t>> write_record(
+      ipc::Process& self, std::string_view name, Connection& c,
+      std::span<const std::byte> data) override;
 
  private:
-  friend class ConnectionInstance;
-
-  struct Connection {
-    std::uint32_t id = 0;
-    ConnState state = ConnState::kOpen;
-    std::vector<std::byte> inbound;  ///< bytes the peer "sent" us
-    std::uint64_t bytes_sent = 0;
-    std::uint32_t opened = 0;
-  };
-
-  /// "host:port" names are validated on create.
-  static bool valid_endpoint(std::string_view name);
-
-  naming::ObjectDescriptor describe_conn(const std::string& name,
-                                         const Connection& c) const;
-
   sim::SimDuration rtt_;
-  bool register_service_;
-  std::map<std::string, Connection, std::less<>> connections_;
-  std::uint32_t next_id_ = 1;
 };
 
 }  // namespace v::servers

@@ -10,71 +10,61 @@
 // through the I/O protocol; reading a mailbox returns its messages.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "naming/csnh_server.hpp"
+#include "servers/flat_context_server.hpp"
 
 namespace v::servers {
 
-class MailServer : public naming::CsnhServer {
+/// One mailbox: reading returns the messages joined by '\n'; each write
+/// delivers one message (block semantics are ignored — mail is a stream of
+/// deliveries, another legitimate interpretation under the I/O protocol).
+struct Mailbox {
+  static constexpr auto kType = naming::DescriptorType::kMailbox;
+  static constexpr std::uint16_t kFlags =
+      naming::kReadable | naming::kWriteable | naming::kAppendOnly;
+  static constexpr std::string_view kContextName = "mail";
+  static constexpr auto kService = ipc::ServiceId::kMailServer;
+  static constexpr auto kScope = ipc::Scope::kBoth;
+
+  std::uint32_t id = 0;
+  std::vector<std::string> messages;
+  std::uint32_t created = 0;
+  [[nodiscard]] std::uint32_t size() const {
+    std::size_t n = 0;
+    for (const auto& m : messages) n += m.size() + 1;  // '\n' separators
+    return static_cast<std::uint32_t>(n);
+  }
+};
+
+class MailServer : public FlatContextServer<Mailbox> {
  public:
   explicit MailServer(bool register_service = true,
                       naming::TeamConfig team = {});
 
   [[nodiscard]] std::size_t mailbox_count() const noexcept {
-    return mailboxes_.size();
+    return records().size();
   }
   [[nodiscard]] Result<std::size_t> message_count(
       std::string_view mailbox) const;
 
  protected:
-  sim::Co<void> on_start(ipc::Process& self) override;
   /// Foreign syntax: the whole remaining name is one component; '/' has no
   /// meaning in mailbox names.
   std::string_view parse_component(std::string_view name, std::size_t index,
                                    std::size_t& next) override;
-  sim::Co<LookupResult> lookup(ipc::Process& self, naming::ContextId ctx,
-                               std::string_view component) override;
-  sim::Co<Result<naming::ObjectDescriptor>> describe(
-      ipc::Process& self, naming::ContextId ctx,
-      std::string_view leaf) override;
-  sim::Co<ReplyCode> create_object(ipc::Process& self, naming::ContextId ctx,
-                                   std::string_view leaf,
-                                   std::uint16_t mode) override;
-  sim::Co<ReplyCode> remove(ipc::Process& self, naming::ContextId ctx,
-                            std::string_view leaf) override;
-  sim::Co<Result<std::unique_ptr<io::InstanceObject>>> open_object(
-      ipc::Process& self, naming::ContextId ctx, std::string_view leaf,
-      std::uint16_t mode) override;
-  sim::Co<Result<std::vector<naming::ObjectDescriptor>>> list_context(
-      ipc::Process& self, naming::ContextId ctx) override;
-  Result<std::string> context_to_name(naming::ContextId ctx) override;
-
- private:
-  friend class MailboxInstance;
-
-  struct Mailbox {
-    std::uint32_t id = 0;
-    std::vector<std::string> messages;
-    std::uint32_t created = 0;
-    [[nodiscard]] std::size_t total_bytes() const {
-      std::size_t n = 0;
-      for (const auto& m : messages) n += m.size() + 1;  // '\n' separators
-      return n;
-    }
-  };
-
   /// Mailbox names must look like "user@host[.domain]".
-  static bool valid_mailbox_name(std::string_view name);
-
-  naming::ObjectDescriptor describe_mailbox(const std::string& name,
-                                            const Mailbox& box) const;
-
-  bool register_service_;
-  std::map<std::string, Mailbox, std::less<>> mailboxes_;
-  std::uint32_t next_id_ = 1;
+  [[nodiscard]] ReplyCode check_create(std::string_view leaf) const override;
+  sim::Co<Result<Mailbox>> new_record(ipc::Process& self,
+                                      std::string_view leaf) override;
+  void describe_record(naming::ObjectDescriptor& desc, const Mailbox& box,
+                       sim::SimTime now) const override;
+  Result<std::size_t> read_record(const Mailbox& box, std::uint32_t block,
+                                  std::span<std::byte> out) const override;
+  sim::Co<Result<std::size_t>> write_record(
+      ipc::Process& self, std::string_view name, Mailbox& box,
+      std::span<const std::byte> data) override;
 };
 
 }  // namespace v::servers

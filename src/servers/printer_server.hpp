@@ -7,15 +7,33 @@
 // process.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "naming/csnh_server.hpp"
+#include "servers/flat_context_server.hpp"
 
 namespace v::servers {
 
-class PrinterServer : public naming::CsnhServer {
+/// One spooled job: a write-only spool of bytes.
+struct PrintJob {
+  static constexpr auto kType = naming::DescriptorType::kPrintJob;
+  static constexpr std::uint16_t kFlags = naming::kWriteable |
+                                          naming::kAppendOnly;
+  static constexpr std::string_view kContextName = "printer-queue";
+  static constexpr auto kService = ipc::ServiceId::kPrinterServer;
+  static constexpr auto kScope = ipc::Scope::kBoth;
+
+  std::uint32_t id = 0;
+  std::vector<std::byte> data;
+  std::string owner = "user";
+  sim::SimTime submitted = 0;     ///< last write time
+  sim::SimTime print_start = 0;   ///< when the printer reached this job
+  [[nodiscard]] std::uint32_t size() const {
+    return static_cast<std::uint32_t>(data.size());
+  }
+};
+
+class PrinterServer : public FlatContextServer<PrintJob> {
  public:
   /// `bytes_per_second` models printer throughput for status derivation.
   explicit PrinterServer(std::uint32_t bytes_per_second = 1000,
@@ -25,53 +43,31 @@ class PrinterServer : public naming::CsnhServer {
   enum class JobStatus { kQueued, kPrinting, kDone };
 
   [[nodiscard]] std::size_t job_count() const noexcept {
-    return jobs_.size();
+    return records().size();
   }
   /// Derived status of a job at simulated time `now`.
   [[nodiscard]] Result<JobStatus> status(std::string_view job,
                                          sim::SimTime now) const;
 
  protected:
-  sim::Co<void> on_start(ipc::Process& self) override;
-  sim::Co<LookupResult> lookup(ipc::Process& self, naming::ContextId ctx,
-                               std::string_view component) override;
-  sim::Co<Result<naming::ObjectDescriptor>> describe(
-      ipc::Process& self, naming::ContextId ctx,
-      std::string_view leaf) override;
-  sim::Co<ReplyCode> create_object(ipc::Process& self, naming::ContextId ctx,
-                                   std::string_view leaf,
-                                   std::uint16_t mode) override;
-  sim::Co<ReplyCode> remove(ipc::Process& self, naming::ContextId ctx,
-                            std::string_view leaf) override;
-  sim::Co<Result<std::unique_ptr<io::InstanceObject>>> open_object(
-      ipc::Process& self, naming::ContextId ctx, std::string_view leaf,
-      std::uint16_t mode) override;
-  sim::Co<Result<std::vector<naming::ObjectDescriptor>>> list_context(
-      ipc::Process& self, naming::ContextId ctx) override;
-  Result<std::string> context_to_name(naming::ContextId ctx) override;
+  sim::Co<Result<PrintJob>> new_record(ipc::Process& self,
+                                       std::string_view leaf) override;
+  /// A job cannot be cancelled mid-print.
+  [[nodiscard]] ReplyCode check_remove(const PrintJob& job,
+                                       sim::SimTime now) const override;
+  void describe_record(naming::ObjectDescriptor& desc, const PrintJob& job,
+                       sim::SimTime now) const override;
+  /// Each write extends the job and reschedules it behind the queue.
+  sim::Co<Result<std::size_t>> write_record(
+      ipc::Process& self, std::string_view name, PrintJob& job,
+      std::span<const std::byte> data) override;
 
  private:
-  friend class PrintJobInstance;
-
-  struct Job {
-    std::uint32_t id = 0;
-    std::vector<std::byte> data;
-    std::string owner = "user";
-    sim::SimTime submitted = 0;     ///< last write time
-    sim::SimTime print_start = 0;   ///< when the printer reached this job
-  };
-
-  [[nodiscard]] JobStatus derive_status(const Job& job,
+  [[nodiscard]] JobStatus derive_status(const PrintJob& job,
                                         sim::SimTime now) const;
-  naming::ObjectDescriptor describe_job(const std::string& name,
-                                        const Job& job,
-                                        sim::SimTime now) const;
-  void schedule_job(Job& job, sim::SimTime now);
+  void schedule_job(PrintJob& job, sim::SimTime now);
 
   std::uint32_t bytes_per_second_;
-  bool register_service_;
-  std::map<std::string, Job, std::less<>> jobs_;
-  std::uint32_t next_id_ = 1;
   sim::SimTime printer_free_at_ = 0;  ///< when the (single) engine frees up
 };
 

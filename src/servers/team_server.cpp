@@ -7,21 +7,10 @@
 
 namespace v::servers {
 
-using naming::DescriptorType;
-using naming::ObjectDescriptor;
-
 TeamServer::TeamServer(naming::ContextPair default_context,
                        bool register_service, naming::TeamConfig team)
-    : CsnhServer(team),
-      default_context_(default_context),
-      register_service_(register_service) {}
-
-sim::Co<void> TeamServer::on_start(ipc::Process& self) {
-  if (register_service_) {
-    self.set_pid(ipc::ServiceId::kTeamServer, self.pid(), ipc::Scope::kLocal);
-  }
-  co_return;
-}
+    : FlatContextServer(register_service, team),
+      default_context_(default_context) {}
 
 V_BORROWS_SPAN
 sim::Co<Result<std::uint16_t>> TeamServer::load_program(
@@ -69,7 +58,7 @@ sim::Co<msg::Message> TeamServer::do_load(ipc::Process& self,
   if (!v::ok(closed)) co_return msg::make_reply(closed);
 
   Program program;
-  program.id = next_id_++;
+  program.id = next_id();
   program.image_name = name;
   program.bytes = static_cast<std::uint32_t>(bytes.value().size());
   program.started = static_cast<std::uint32_t>(self.now() / sim::kSecond);
@@ -92,70 +81,24 @@ sim::Co<msg::Message> TeamServer::do_load(ipc::Process& self,
   {
     chk::AccessGuard guard(self, programs_cell_,
                            chk::AccessGuard::Mode::kWrite);
-    programs_.emplace(instance_name, program);
+    records().emplace(instance_name, program);
   }
   co_return reply;
 }
 
-sim::Co<naming::CsnhServer::LookupResult> TeamServer::lookup(
-    ipc::Process& /*self*/, naming::ContextId /*ctx*/,
-    std::string_view component) {
-  auto it = programs_.find(component);
-  if (it == programs_.end()) co_return LookupResult::missing();
-  co_return LookupResult::object(it->second.id);
+ReplyCode TeamServer::check_create(std::string_view /*leaf*/) const {
+  return ReplyCode::kIllegalRequest;
 }
 
-naming::ObjectDescriptor TeamServer::describe_program(const std::string& name,
-                                                      const Program& p) const {
-  ObjectDescriptor desc;
-  desc.type = DescriptorType::kProcess;
-  desc.size = p.bytes;
-  desc.object_id = p.id;
+ReplyCode TeamServer::check_open(std::uint16_t /*mode*/) const {
+  return ReplyCode::kIllegalRequest;
+}
+
+void TeamServer::describe_record(naming::ObjectDescriptor& desc,
+                                 const Program& p,
+                                 sim::SimTime /*now*/) const {
   desc.mtime = p.started;
   desc.owner = "team";
-  desc.name = name;
-  return desc;
-}
-
-sim::Co<Result<naming::ObjectDescriptor>> TeamServer::describe(
-    ipc::Process& /*self*/, naming::ContextId ctx, std::string_view leaf) {
-  if (leaf.empty()) {
-    ObjectDescriptor desc;
-    desc.type = DescriptorType::kContext;
-    desc.server_pid = pid().raw;
-    desc.context_id = ctx;
-    desc.size = static_cast<std::uint32_t>(programs_.size());
-    co_return desc;
-  }
-  auto it = programs_.find(leaf);
-  if (it == programs_.end()) co_return ReplyCode::kNotFound;
-  co_return describe_program(it->first, it->second);
-}
-
-V_GATED_MUTATION
-sim::Co<ReplyCode> TeamServer::remove(ipc::Process& self,
-                                      naming::ContextId ctx,
-                                      std::string_view leaf) {
-  note_name_write(self, ctx, leaf);
-  auto it = programs_.find(leaf);
-  if (it == programs_.end()) co_return ReplyCode::kNotFound;
-  programs_.erase(it);  // "kill"
-  co_return ReplyCode::kOk;
-}
-
-sim::Co<Result<std::vector<naming::ObjectDescriptor>>>
-TeamServer::list_context(ipc::Process& /*self*/, naming::ContextId /*ctx*/) {
-  std::vector<ObjectDescriptor> records;
-  records.reserve(programs_.size());
-  for (const auto& [name, p] : programs_) {
-    records.push_back(describe_program(name, p));
-  }
-  co_return records;
-}
-
-Result<std::string> TeamServer::context_to_name(naming::ContextId ctx) {
-  if (ctx != naming::kDefaultContext) return ReplyCode::kNoInverse;
-  return std::string("programs");
 }
 
 }  // namespace v::servers

@@ -9,11 +9,10 @@
 // queried/removed (killed) through the standard protocol.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 
-#include "naming/csnh_server.hpp"
+#include "servers/flat_context_server.hpp"
 #include "svc/runtime.hpp"
 
 namespace v::servers {
@@ -26,7 +25,22 @@ inline constexpr std::size_t kOffLoadNameLength = 2;  // u16
 inline constexpr std::size_t kOffLoadProgramId = 2;   // u16
 inline constexpr std::size_t kOffLoadBytes = 4;       // u32 image size
 
-class TeamServer : public naming::CsnhServer {
+/// One loaded program ("a program in execution").
+struct Program {
+  static constexpr auto kType = naming::DescriptorType::kProcess;
+  static constexpr std::uint16_t kFlags = 0;
+  static constexpr std::string_view kContextName = "programs";
+  static constexpr auto kService = ipc::ServiceId::kTeamServer;
+  static constexpr auto kScope = ipc::Scope::kLocal;
+
+  std::uint16_t id = 0;
+  std::string image_name;  ///< the CSname it was loaded from
+  std::uint32_t bytes = 0;
+  std::uint32_t started = 0;
+  [[nodiscard]] std::uint32_t size() const { return bytes; }
+};
+
+class TeamServer : public FlatContextServer<Program> {
  public:
   /// `default_context` is the context for program names without a prefix.
   explicit TeamServer(naming::ContextPair default_context,
@@ -34,7 +48,7 @@ class TeamServer : public naming::CsnhServer {
                       naming::TeamConfig team = {});
 
   [[nodiscard]] std::size_t program_count() const noexcept {
-    return programs_.size();
+    return records().size();
   }
 
   /// Client helper: ask `team` to load `program_name`.
@@ -44,39 +58,21 @@ class TeamServer : public naming::CsnhServer {
                                                      std::string_view name);
 
  protected:
-  sim::Co<void> on_start(ipc::Process& self) override;
-  sim::Co<LookupResult> lookup(ipc::Process& self, naming::ContextId ctx,
-                               std::string_view component) override;
-  sim::Co<Result<naming::ObjectDescriptor>> describe(
-      ipc::Process& self, naming::ContextId ctx,
-      std::string_view leaf) override;
-  sim::Co<ReplyCode> remove(ipc::Process& self, naming::ContextId ctx,
-                            std::string_view leaf) override;
-  sim::Co<Result<std::vector<naming::ObjectDescriptor>>> list_context(
-      ipc::Process& self, naming::ContextId ctx) override;
+  /// Programs come from kLoadProgram only: no CreateName, no open.
+  [[nodiscard]] ReplyCode check_create(std::string_view leaf) const override;
+  [[nodiscard]] ReplyCode check_open(std::uint16_t mode) const override;
+  void describe_record(naming::ObjectDescriptor& desc, const Program& p,
+                       sim::SimTime now) const override;
   sim::Co<msg::Message> handle_custom(ipc::Process& self,
                                       ipc::Envelope& env) override;
-  Result<std::string> context_to_name(naming::ContextId ctx) override;
 
  private:
-  struct Program {
-    std::uint16_t id = 0;
-    std::string image_name;  ///< the CSname it was loaded from
-    std::uint32_t bytes = 0;
-    std::uint32_t started = 0;
-  };
-
   sim::Co<msg::Message> do_load(ipc::Process& self, ipc::Envelope& env);
-  naming::ObjectDescriptor describe_program(const std::string& name,
-                                            const Program& p) const;
 
   naming::ContextPair default_context_;
-  bool register_service_;
-  std::map<std::string, Program, std::less<>> programs_;
-  /// do_load mutates programs_ from handle_custom, outside any (ctx,leaf)
+  /// do_load adds programs from handle_custom, outside any (ctx,leaf)
   /// gate; annotate the write for the race detector instead.
   chk::CellState programs_cell_{"team.programs"};
-  std::uint16_t next_id_ = 1;
   std::optional<svc::Rt> rt_;  ///< lazily attached workstation runtime
 };
 

@@ -8,60 +8,53 @@
 // command handles uniformly.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "naming/csnh_server.hpp"
+#include "servers/flat_context_server.hpp"
 
 namespace v::servers {
 
-class TerminalServer : public naming::CsnhServer {
+/// One terminal: reads return the transcript; writes append to it
+/// (append-only stream semantics).
+struct Terminal {
+  static constexpr auto kType = naming::DescriptorType::kTerminal;
+  static constexpr std::uint16_t kFlags =
+      naming::kReadable | naming::kWriteable | naming::kAppendOnly;
+  static constexpr std::string_view kContextName = "terminals";
+  static constexpr auto kService = ipc::ServiceId::kTerminalServer;
+  static constexpr auto kScope = ipc::Scope::kLocal;
+
+  std::uint32_t id = 0;
+  std::vector<std::byte> transcript;
+  std::string owner = "user";
+  std::uint32_t created = 0;
+  [[nodiscard]] std::uint32_t size() const {
+    return static_cast<std::uint32_t>(transcript.size());
+  }
+};
+
+class TerminalServer : public FlatContextServer<Terminal> {
  public:
   explicit TerminalServer(bool register_service = true,
                           naming::TeamConfig team = {});
 
   [[nodiscard]] std::size_t terminal_count() const noexcept {
-    return terminals_.size();
+    return records().size();
   }
   /// Transcript bytes of a terminal (test inspection).
   [[nodiscard]] Result<std::string> transcript(std::string_view name) const;
 
  protected:
-  sim::Co<void> on_start(ipc::Process& self) override;
-  sim::Co<LookupResult> lookup(ipc::Process& self, naming::ContextId ctx,
-                               std::string_view component) override;
-  sim::Co<Result<naming::ObjectDescriptor>> describe(
-      ipc::Process& self, naming::ContextId ctx,
-      std::string_view leaf) override;
-  sim::Co<ReplyCode> create_object(ipc::Process& self, naming::ContextId ctx,
-                                   std::string_view leaf,
-                                   std::uint16_t mode) override;
-  sim::Co<ReplyCode> remove(ipc::Process& self, naming::ContextId ctx,
-                            std::string_view leaf) override;
-  sim::Co<Result<std::unique_ptr<io::InstanceObject>>> open_object(
-      ipc::Process& self, naming::ContextId ctx, std::string_view leaf,
-      std::uint16_t mode) override;
-  sim::Co<Result<std::vector<naming::ObjectDescriptor>>> list_context(
-      ipc::Process& self, naming::ContextId ctx) override;
-  Result<std::string> context_to_name(naming::ContextId ctx) override;
-
- private:
-  friend class TerminalInstance;
-
-  struct Terminal {
-    std::uint32_t id = 0;
-    std::vector<std::byte> transcript;
-    std::string owner = "user";
-    std::uint32_t created = 0;
-  };
-
-  naming::ObjectDescriptor describe_terminal(const std::string& name,
-                                             const Terminal& t) const;
-
-  bool register_service_;
-  std::map<std::string, Terminal, std::less<>> terminals_;
-  std::uint32_t next_id_ = 1;
+  sim::Co<Result<Terminal>> new_record(ipc::Process& self,
+                                       std::string_view leaf) override;
+  void describe_record(naming::ObjectDescriptor& desc, const Terminal& t,
+                       sim::SimTime now) const override;
+  Result<std::size_t> read_record(const Terminal& t, std::uint32_t block,
+                                  std::span<std::byte> out) const override;
+  sim::Co<Result<std::size_t>> write_record(
+      ipc::Process& self, std::string_view name, Terminal& t,
+      std::span<const std::byte> data) override;
 };
 
 }  // namespace v::servers

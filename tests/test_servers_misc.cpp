@@ -90,20 +90,6 @@ TEST(TerminalServer, CreateWriteAndListTerminals) {
   EXPECT_EQ(terms.transcript("vt01").value(), "login: mann\n% ls\n");
 }
 
-TEST(TerminalServer, RemoveDestroysTransientObject) {
-  VFixture fx;
-  servers::TerminalServer terms;
-  const auto vt_pid =
-      fx.ws1.spawn("vgts", [&](ipc::Process p) { return terms.run(p); });
-  fx.run_client([&](ipc::Process, svc::Rt rt) -> Co<void> {
-    rt.set_current({vt_pid, naming::kDefaultContext});
-    EXPECT_EQ(co_await rt.create("vt02"), ReplyCode::kOk);
-    EXPECT_EQ(co_await rt.create("vt02"), ReplyCode::kNameExists);
-    EXPECT_EQ(co_await rt.remove("vt02"), ReplyCode::kOk);
-    EXPECT_EQ((co_await rt.query("vt02")).code(), ReplyCode::kNotFound);
-  });
-}
-
 // --- printer server ------------------------------------------------------------
 
 TEST(PrinterServer, JobLifecycleThroughStatuses) {

@@ -9,7 +9,9 @@ Five rules, each with a seeded must-fail fixture under tools/vlint/fixtures/:
                       a gated hook bumps the context generation (or is itself
                       a gated hook, or carries a justified suppression).
                       Every mutation-hook override in src/servers/ +
-                      src/naming/csnh_server.cpp must carry the annotation.
+                      src/naming/csnh_server.cpp must carry the annotation,
+                      defined out of class (`Base<T>::remove` included) or
+                      in a class body (`remove(...) override {`).
   suspend-under-gate  No co_await of a sim::WaitQueue wait or a kernel
                       send/receive while a mutation-gate guard is held
                       (between `co_await <gate>` and the guard's scope end).
@@ -303,6 +305,20 @@ def match_forward(toks, i, open_t, close_t):
     return None
 
 
+def match_backward(toks, i, open_t, close_t):
+    depth = 0
+    while i >= 0:
+        t = toks[i].text
+        if t == close_t:
+            depth += 1
+        elif t == open_t:
+            depth -= 1
+            if depth == 0:
+                return i
+        i -= 1
+    return None
+
+
 def _scan_ctor_init(toks, k):
     """Scan a constructor init list starting after ':'; return the index of
     the body '{' or None."""
@@ -346,9 +362,18 @@ def _try_function(pf, i):
         name, name_start = "operator[]", j - 2
     elif is_ident(tj) and tj not in KEYWORDS:
         name, name_start = tj, j
-        while name_start >= 2 and toks[name_start - 1].text == "::" and \
-                is_ident(toks[name_start - 2].text):
-            name_start -= 2
+        # Walk the qualifier back, through template argument lists too:
+        # `Base<Record>::create_object` is qualified by `Base<Record>`.
+        while name_start >= 2 and toks[name_start - 1].text == "::":
+            k = name_start - 2
+            if toks[k].text == ">":
+                k = match_backward(toks, k, "<", ">")
+                if k is None or k < 1:
+                    break
+                k -= 1
+            if not is_ident(toks[k].text):
+                break
+            name_start = k
         if name_start >= 1 and toks[name_start - 1].text == "~":
             name_start -= 1
     elif not is_ident(tj) and j >= 1 and toks[j - 1].text == "operator":
@@ -529,7 +554,12 @@ def rule_gate(index, failure_codes, findings):
                     path.endswith("naming/csnh_server.cpp") or
                     "fixtures" in path)
         for f in pf.funcs:
-            if (in_scope and f.name in MUTATION_HOOKS and "::" in f.qual and
+            # A hook definition is qualified (out of class) or marked
+            # `override` (in a class body, e.g. a class-template base).
+            is_hook_def = "::" in f.qual or any(
+                pf.toks[k].text == "override"
+                for k in range(f.param_e, f.body_s))
+            if (in_scope and f.name in MUTATION_HOOKS and is_hook_def and
                     "V_GATED_MUTATION" not in f.ann):
                 if not pf.suppressed(RULE_GATE, f.line):
                     findings.append(Finding(
