@@ -10,9 +10,11 @@
 #                          # suites (test_ipc, test_ipc_property, test_fault,
 #                          # test_crash_replies) and the flat-context server
 #                          # suites (test_conformance_matrix,
-#                          # test_servers_misc, test_pipe_server), plus a
-#                          # TSan build (build-only: the sim is
-#                          # single-threaded, TSan proves it still links)
+#                          # test_servers_misc, test_pipe_server) and the
+#                          # client binding paths (test_svc,
+#                          # test_shard_fabric), plus a TSan build
+#                          # (build-only: the sim is single-threaded, TSan
+#                          # proves it still links)
 #   scripts/ci.sh lint     # clang-tidy over src/ (skips if not installed;
 #                          # skips unchanged files via a content-hash cache)
 #   scripts/ci.sh slint    # V-lint static analysis (tools/vlint): tree must
@@ -52,17 +54,19 @@ run_sanitize() {
   echo "==> sanitize (UBSan run + TSan build)"
   echo "==> sanitize: ubsan configure/build"
   # test_file_server, test_chk and test_name_cache cover the flat per-request
-  # tables (dense i-node vector, lint ledger, cache dependent counts);
+  # tables (dense i-node vector, lint ledger, name-cache slots);
   # test_ipc and test_ipc_property cover the kernel's transaction rule,
   # which runs on every domain's IPC path, and test_fault and
   # test_crash_replies cover it under crash-only and lossy plans
   # (DESIGN.md 4h).  test_conformance_matrix, test_servers_misc and
   # test_pipe_server drive every op through the FlatContextServer base
-  # (DESIGN.md 4o).
+  # (DESIGN.md 4o).  test_svc and test_shard_fabric drive Rt's learn step,
+  # its one-hop open_at and the router's '[prefix]' parse (DESIGN.md 4g).
   local suites=(
     test_engine test_cached_open test_file_server test_chk test_name_cache
     test_ipc test_ipc_property test_fault test_crash_replies
     test_conformance_matrix test_servers_misc test_pipe_server
+    test_svc test_shard_fabric
   )
   cmake --preset ubsan
   cmake --build --preset ubsan -j "$(nproc)" --target "${suites[@]}"

@@ -3,7 +3,7 @@
 // Its users key on small integers and probe on every message: the kernel's
 // tables (pid -> record, client -> transaction slot, service ->
 // registration), the protocol lint's server/worker registry and
-// outstanding-request ledger, the client name cache's per-origin tables,
+// outstanding-request ledger, the client name cache's per-origin generations,
 // and the per-server request-counter handles.  The node-based std::map /
 // std::unordered_map are a poor fit for that access pattern: every insert
 // allocates, every lookup chases a pointer into cold memory.

@@ -318,7 +318,6 @@ ProcessId Host::spawn(std::string name,
   domain_.loop().schedule_after(0, [recp] {
     if (recp->alive && recp->fiber) recp->fiber->start();
   });
-  ++spawned_;
   return rec.pid;
 }
 

@@ -424,11 +424,6 @@ class Host {
   [[nodiscard]] ProcessId lookup_local(ServiceId service) const;
   [[nodiscard]] ProcessId lookup_remote(ServiceId service) const;
 
-  /// Number of processes ever spawned (dead ones included).
-  [[nodiscard]] std::size_t processes_spawned() const noexcept {
-    return spawned_;
-  }
-
  private:
   friend class Domain;
 
@@ -445,7 +440,6 @@ class Host {
   /// Queue one packet behind the pause, for resume() to replay.
   void stash(sim::EventLoop::Action packet);
   std::uint16_t next_local_pid_;
-  std::size_t spawned_ = 0;
   // Flat map: GetPid probes this on every service lookup; registrations
   // are tiny and never individually erased (crash clears wholesale).
   FlatMap<ServiceId, detail::Registration> services_;

@@ -97,9 +97,6 @@ class CsnhServer {
   void set_service_group(ipc::GroupId group) noexcept {
     service_group_ = group;
   }
-  [[nodiscard]] ipc::GroupId service_group() const noexcept {
-    return service_group_;
-  }
 
   /// Requests shed with kBusy because the work queue was at queue_cap.
   [[nodiscard]] std::uint64_t shed_count() const noexcept { return sheds_; }

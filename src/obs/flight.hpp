@@ -211,9 +211,6 @@ class FlightRecorder {
 
   /// Where trigger() writes its dump ("" = render in memory only).
   void set_dump_path(std::string path) { dump_path_ = std::move(path); }
-  [[nodiscard]] const std::string& dump_path() const noexcept {
-    return dump_path_;
-  }
 
   /// Fire a dump trigger: records a kDump event (code = `trigger_code`,
   /// so the dump itself shows why it exists) and, when a dump path is

@@ -99,7 +99,6 @@ struct Span {
 class TraceSink {
  public:
   void enable() noexcept { active_ = true; }
-  void disable() noexcept { active_ = false; }
   [[nodiscard]] bool active() const noexcept { return active_; }
 
   /// Allocate a fresh trace id (one per traced Send).

@@ -134,13 +134,13 @@ class FlatContextServer : public naming::CsnhServer {
       ipc::Process& self, naming::ContextId ctx,
       std::string_view leaf) override {
     if (leaf.empty()) {
-      // The context's own record carries the record count and, unlike the
-      // CsnhServer default, no name.
+      // The context's own record carries the record count.
       naming::ObjectDescriptor desc;
       desc.type = naming::DescriptorType::kContext;
       desc.server_pid = pid().raw;
       desc.context_id = ctx;
       desc.size = static_cast<std::uint32_t>(records_.size());
+      if (auto name = context_to_name(ctx); name.ok()) desc.name = name.value();
       co_return desc;
     }
     auto it = records_.find(leaf);

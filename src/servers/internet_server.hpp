@@ -46,10 +46,6 @@ class InternetServer : public FlatContextServer<Connection> {
 
   using ConnState = servers::ConnState;
 
-  [[nodiscard]] std::size_t connection_count() const noexcept {
-    return records().size();
-  }
-
  protected:
   /// "host:port" names are validated on create.
   [[nodiscard]] ReplyCode check_create(std::string_view leaf) const override;

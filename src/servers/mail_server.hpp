@@ -43,9 +43,6 @@ class MailServer : public FlatContextServer<Mailbox> {
   explicit MailServer(bool register_service = true,
                       naming::TeamConfig team = {});
 
-  [[nodiscard]] std::size_t mailbox_count() const noexcept {
-    return records().size();
-  }
   [[nodiscard]] Result<std::size_t> message_count(
       std::string_view mailbox) const;
 

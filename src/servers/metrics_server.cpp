@@ -22,8 +22,7 @@ constexpr std::string_view kFlightDumpLeaf = "flight-dump";
 
 }  // namespace
 
-MetricsServer::MetricsServer(std::string server_name, naming::TeamConfig team)
-    : CsnhServer(team), name_(std::move(server_name)) {}
+MetricsServer::MetricsServer(naming::TeamConfig team) : CsnhServer(team) {}
 
 sim::Co<void> MetricsServer::on_start(ipc::Process& self) {
   registry_ = &self.domain().metrics();

@@ -21,13 +21,7 @@ namespace v::servers {
 
 class MetricsServer : public naming::CsnhServer {
  public:
-  /// `server_name` labels inverse mappings (GetContextName replies).
-  explicit MetricsServer(std::string server_name = "metrics",
-                         naming::TeamConfig team = {});
-
-  [[nodiscard]] const std::string& server_name() const noexcept {
-    return name_;
-  }
+  explicit MetricsServer(naming::TeamConfig team = {});
 
  protected:
   sim::Co<void> on_start(ipc::Process& self) override;
@@ -52,7 +46,6 @@ class MetricsServer : public naming::CsnhServer {
       naming::ContextId ctx, const std::string& name,
       const std::string& value) const;
 
-  std::string name_;
   const obs::MetricsRegistry* registry_ = nullptr;  ///< set in on_start
 };
 

@@ -42,9 +42,6 @@ class PrinterServer : public FlatContextServer<PrintJob> {
 
   enum class JobStatus { kQueued, kPrinting, kDone };
 
-  [[nodiscard]] std::size_t job_count() const noexcept {
-    return records().size();
-  }
   /// Derived status of a job at simulated time `now`.
   [[nodiscard]] Result<JobStatus> status(std::string_view job,
                                          sim::SimTime now) const;

@@ -65,14 +65,6 @@ class WaitQueue {
     }
   }
 
-  /// Resume every waiter, in FIFO order.
-  void notify_all(EventLoop& loop) {
-    const std::size_t n = waiters_.size();
-    for (std::size_t i = 0; i < n && !waiters_.empty(); ++i) {
-      notify_one(loop);
-    }
-  }
-
   [[nodiscard]] std::size_t waiting() const noexcept {
     return waiters_.size();
   }

@@ -186,7 +186,6 @@ class EventLoop {
     fuzz_ = true;
     fuzz_seed_ = seed;
   }
-  [[nodiscard]] bool fuzz_enabled() const noexcept { return fuzz_; }
   [[nodiscard]] std::uint64_t fuzz_seed() const noexcept { return fuzz_seed_; }
 
  private:

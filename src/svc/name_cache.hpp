@@ -30,13 +30,18 @@
 // the bindings they routed.  (A prefix edit made by ANOTHER client is
 // detected lazily: the next resolution that travels through the prefix
 // server re-observes its generation.  See DESIGN.md 4g for the residual.)
+//
+// Storage is one vector of at most `capacity` slots, searched linearly:
+// every user keeps capacity <= 64, where a scan of contiguous slots is
+// cheaper than any node-based index, and a warm find or an evicting put
+// allocates nothing (DESIGN.md 4g).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <list>
-#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/flat_map.hpp"
 #include "ipc/kernel.hpp"
@@ -55,58 +60,50 @@ class NameCache {
     ipc::BindingHint origin;         ///< entry binding the walk went through
   };
 
-  explicit NameCache(std::size_t capacity = 64) : capacity_(capacity) {}
+  explicit NameCache(std::size_t capacity = 64) : capacity_(capacity) {
+    slots_.reserve(capacity);
+  }
 
   /// Cached binding for a directory name, if present (refreshes LRU).
   std::optional<Binding> find(std::string_view dir) {
-    auto it = entries_.find(dir);
-    if (it == entries_.end()) {
+    Slot* slot = slot_of(dir);
+    if (slot == nullptr) {
       ++misses_;
       return std::nullopt;
     }
     ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second.position);
-    return it->second.binding;
+    slot->tick = ++tick_;
+    return slot->binding;
   }
 
   /// Remember `dir` -> `binding`, evicting the least-recently-used entry
-  /// beyond capacity.
+  /// beyond capacity (into the same slot and key buffer).
   void put(std::string_view dir, const Binding& binding) {
-    add_dependent(binding.origin);
-    auto it = entries_.find(dir);
-    if (it != entries_.end()) {
-      drop_dependent(it->second.binding.origin);
-      it->second.binding = binding;
-      lru_.splice(lru_.begin(), lru_, it->second.position);
-      return;
+    Slot* slot = slot_of(dir);
+    if (slot == nullptr) {
+      if (capacity_ == 0) return;
+      slot = slots_.size() < capacity_
+                 ? &slots_.emplace_back()
+                 : &*std::min_element(slots_.begin(), slots_.end(),
+                                      [](const Slot& a, const Slot& b) {
+                                        return a.tick < b.tick;
+                                      });
+      slot->key.assign(dir);
     }
-    lru_.emplace_front(dir);
-    entries_.emplace(std::string(dir), Entry{binding, lru_.begin()});
-    if (entries_.size() > capacity_) {
-      auto victim = entries_.find(lru_.back());
-      drop_dependent(victim->second.binding.origin);
-      entries_.erase(victim);
-      lru_.pop_back();
-    }
+    slot->binding = binding;
+    slot->tick = ++tick_;
   }
 
   /// Drop an entry whose binding was refused (kStaleContext /
   /// kInvalidContext / kNoReply).
   void erase(std::string_view dir) {
-    auto it = entries_.find(dir);
-    if (it == entries_.end()) return;
-    ++invalidations_;
-    drop_dependent(it->second.binding.origin);
-    lru_.erase(it->second.position);
-    entries_.erase(it);
+    if (Slot* slot = slot_of(dir)) drop(*slot);
   }
 
   /// Record an observed origin generation (from any hinted reply).  When it
   /// is NEWER than the last one seen for that (server, context) — the
   /// origin's table changed — drop every entry that was resolved through an
-  /// older generation of it.  Most newer generations belong to contexts no
-  /// entry was resolved through (every directory a create or remove
-  /// touches), so the walk runs only while the origin has dependents.
+  /// older generation of it.
   void observe_origin(const ipc::BindingHint& origin) {
     if (!origin.valid()) return;
     const std::uint64_t key = origin_key(origin);
@@ -117,31 +114,20 @@ class NameCache {
     } else {
       seen->second = origin.generation;
     }
-    const auto deps = dependents_.find(key);
-    if (deps == dependents_.end()) return;
-    for (auto entry = entries_.begin(); entry != entries_.end();) {
-      const ipc::BindingHint& dep = entry->second.binding.origin;
+    for (std::size_t i = 0; i < slots_.size();) {
+      const ipc::BindingHint& dep = slots_[i].binding.origin;
       if (dep.valid() && origin_key(dep) == key &&
           dep.generation < origin.generation) {
-        ++invalidations_;
-        lru_.erase(entry->second.position);
-        entry = entries_.erase(entry);
-        // Erasing the last dependent drops the count's slot; stop there.
-        if (--deps->second == 0) {
-          dependents_.erase(key);
-          return;
-        }
+        drop(slots_[i]);  // the last slot moves into i: look at i again
       } else {
-        ++entry;
+        ++i;
       }
     }
   }
 
   void clear() {
-    entries_.clear();
-    lru_.clear();
+    slots_.clear();
     origins_.clear();
-    dependents_.clear();
   }
 
   /// Counter hooks for the runtime: a kStaleContext refusal, and a
@@ -149,7 +135,7 @@ class NameCache {
   void note_stale() noexcept { ++stale_; }
   void note_fallback() noexcept { ++fallbacks_; }
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
   [[nodiscard]] std::uint64_t invalidations() const noexcept {
@@ -159,32 +145,34 @@ class NameCache {
   [[nodiscard]] std::uint64_t fallbacks() const noexcept { return fallbacks_; }
 
  private:
-  struct Entry {
+  struct Slot {
+    std::string key;
     Binding binding;
-    std::list<std::string>::iterator position;
+    std::uint64_t tick = 0;  ///< recency: larger = more recently used
   };
   /// (server pid, context id) of an origin, packed for the FlatMap.
   static std::uint64_t origin_key(const ipc::BindingHint& origin) noexcept {
     return (std::uint64_t{origin.server_pid} << 32) | origin.context_id;
   }
 
-  /// Count one more / one fewer entry resolved through `origin`.
-  void add_dependent(const ipc::BindingHint& origin) {
-    if (origin.valid()) ++dependents_[origin_key(origin)];
+  Slot* slot_of(std::string_view dir) noexcept {
+    for (Slot& slot : slots_) {
+      if (slot.key == dir) return &slot;
+    }
+    return nullptr;
   }
-  void drop_dependent(const ipc::BindingHint& origin) {
-    if (!origin.valid()) return;
-    const std::uint64_t key = origin_key(origin);
-    if (--dependents_[key] == 0) dependents_.erase(key);
+  /// Invalidate one entry: the last slot takes its place.
+  void drop(Slot& slot) {
+    ++invalidations_;
+    if (&slot != &slots_.back()) std::swap(slot, slots_.back());
+    slots_.pop_back();
   }
 
   std::size_t capacity_;
-  std::map<std::string, Entry, std::less<>> entries_;
-  std::list<std::string> lru_;
-  // Both origin tables are probed on every hinted reply, hence flat.
-  FlatMap<std::uint64_t, std::uint32_t> origins_;  ///< latest observed gens
-  /// Entries per origin key; a key with no dependents has no slot.
-  FlatMap<std::uint64_t, std::uint32_t> dependents_;
+  std::vector<Slot> slots_;
+  std::uint64_t tick_ = 0;
+  /// Latest observed generation per origin; probed on every hinted reply.
+  FlatMap<std::uint64_t, std::uint32_t> origins_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t invalidations_ = 0;

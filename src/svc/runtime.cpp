@@ -11,7 +11,6 @@ namespace v::svc {
 
 using msg::Message;
 using msg::RequestCode;
-using naming::ContextPair;
 using naming::ObjectDescriptor;
 
 sim::Co<Rt> Rt::attach(ipc::Process self, naming::ContextPair current) {
@@ -103,17 +102,31 @@ Rt::OpenedFile Rt::decode_open_reply(ipc::Process self, const Message& reply) {
 /// Split a name into (directory-part, leaf).  An empty directory means
 /// "interpret in the current context" — nothing cacheable.
 Rt::SplitName Rt::split_dir_leaf(std::string_view name) {
-  const auto slash = name.rfind('/');
-  if (slash != std::string_view::npos) {
-    return {name.substr(0, slash), name.substr(slash + 1)};
-  }
-  if (naming::has_prefix_syntax(name)) {
-    const auto close = name.find(naming::kPrefixClose);
-    if (close != std::string_view::npos) {
-      return {name.substr(0, close + 1), name.substr(close + 1)};
-    }
-  }
-  return {std::string_view{}, name};
+  std::size_t leaf = name.rfind('/');
+  if (leaf != std::string_view::npos) return {name.substr(0, leaf), leaf + 1};
+  if (naming::parse_prefix(name, leaf)) return {name.substr(0, leaf), leaf};
+  return {std::string_view{}, 0};
+}
+
+V_HOT_PATH
+void Rt::learn(std::string_view name, SplitName split,
+               const ipc::BindingHint& origin) {
+  if (cache_ == nullptr || split.dir.empty()) return;
+  // Only cache the binding when the server's leaf boundary agrees with our
+  // split — custom name syntaxes may disagree, and an open that walked
+  // into the leaf as a context was bound past it; neither binding could be
+  // reused for this directory.  The boundary may sit ON the separator our
+  // split strips.
+  const ipc::BindingHint hint = self_.last_binding_hint();
+  const bool boundary_agrees =
+      hint.consumed == split.leaf_start ||
+      (std::size_t{hint.consumed} + 1 == split.leaf_start &&
+       name[hint.consumed] == '/');
+  if (!hint.valid() || !boundary_agrees) return;
+  cache_->put(split.dir,
+              NameCache::Binding{
+                  {ipc::ProcessId{hint.server_pid}, hint.context_id},
+                  hint.generation, hint.consumed, origin});
 }
 
 V_BORROWS_SPAN
@@ -124,26 +137,7 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_resolved(std::string_view name,
   msg::cs::set_mode(request, mode);
   const Message reply = co_await send_csname(request, name);
   if (reply.reply_code() != ReplyCode::kOk) co_return reply.reply_code();
-  if (cache_ != nullptr) {
-    // Learn the directory binding from the piggybacked hint.  Only cache
-    // it when the server's leaf boundary agrees with our split — custom
-    // name syntaxes may disagree, and such a binding could not be reused.
-    const ipc::BindingHint hint = self_.last_binding_hint();
-    const SplitName split = split_dir_leaf(name);
-    // The server's boundary may sit ON the separator our split strips.
-    const std::size_t leaf_start = name.size() - split.leaf.size();
-    const bool boundary_agrees =
-        hint.consumed == leaf_start ||
-        (std::size_t{hint.consumed} + 1 == leaf_start &&
-         name[hint.consumed] == '/');
-    if (hint.valid() && !split.dir.empty() && boundary_agrees) {
-      cache_->put(split.dir,
-                  NameCache::Binding{
-                      {ipc::ProcessId{hint.server_pid}, hint.context_id},
-                      hint.generation, hint.consumed,
-                      self_.last_origin_hint()});
-    }
-  }
+  learn(name, split_dir_leaf(name), self_.last_origin_hint());
   co_return decode_open_reply(self_, reply);
 }
 
@@ -161,10 +155,12 @@ sim::Co<msg::Message> Rt::open_at(naming::ContextPair target,
   msg::cs::set_name_length(request, static_cast<std::uint16_t>(name.size()));
   // Address the target context directly, with the name index already past
   // whatever part the binding covers — the server interprets only the rest
-  // — and demand the generation the binding was learned under.
+  // — and demand the generation the binding was learned under, if any.
   msg::cs::set_name_index(request, name_index);
   msg::cs::set_context_id(request, target.context);
-  msg::cs::set_expected_generation(request, expected_generation);
+  if (expected_generation != 0) {
+    msg::cs::set_expected_generation(request, expected_generation);
+  }
   ipc::Segments segments;
   segments.read = std::as_bytes(std::span(name.data(), name.size()));
   const Message reply = co_await self_.send(request, target.server, segments);
@@ -178,20 +174,13 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_via_binding(
     std::string_view name, std::uint16_t mode,
     const NameCache::Binding& binding, SplitName split) {
   const Message reply = co_await open_at(
-      binding.target, name,
-      static_cast<std::uint16_t>(name.size() - split.leaf.size()), mode,
-      binding.generation);
+      binding.target, name, static_cast<std::uint16_t>(split.leaf_start),
+      mode, binding.generation);
   if (reply.reply_code() != ReplyCode::kOk) co_return reply.reply_code();
   // Refresh the entry from the reply hint: a create-mode open legitimately
   // advanced the generation, and the next cached open must expect the new
   // one.
-  const ipc::BindingHint hint = self_.last_binding_hint();
-  if (hint.valid()) {
-    cache_->put(split.dir,
-                NameCache::Binding{
-                    {ipc::ProcessId{hint.server_pid}, hint.context_id},
-                    hint.generation, hint.consumed, binding.origin});
-  }
+  learn(name, split, binding.origin);
   co_return decode_open_reply(self_, reply);
 }
 
@@ -205,9 +194,8 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_via_rebind(std::string_view name,
   // the directory inside each member's own name space (possibly empty:
   // probe their default context).
   std::string_view dir = split.dir;
-  if (naming::has_prefix_syntax(dir)) {
-    const auto close = dir.find(naming::kPrefixClose);
-    if (close != std::string_view::npos) dir = dir.substr(close + 1);
+  if (std::size_t rest = 0; naming::parse_prefix(dir, rest)) {
+    dir.remove_prefix(rest);
   }
   co_await self_.compute(self_.params().send_build);
   Message probe;
@@ -226,36 +214,14 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_via_rebind(std::string_view name,
   if (probe_reply.reply_code() != ReplyCode::kOk) {
     co_return original;  // nobody answered: the probe changed nothing
   }
-  const ContextPair rebound = naming::wire::get_map_reply(probe_reply);
-
-  // Open the leaf directly against the member that answered: context id
-  // from the probe reply, name index already past the directory part.
-  co_await self_.compute(self_.params().send_build);
-  Message request;
-  request.set_code(RequestCode::kCreateInstance);
-  msg::cs::set_mode(request, mode);
-  msg::cs::set_name_length(request, static_cast<std::uint16_t>(name.size()));
-  msg::cs::set_name_index(
-      request, static_cast<std::uint16_t>(name.size() - split.leaf.size()));
-  msg::cs::set_context_id(request, rebound.context);
-  ipc::Segments segments;
-  segments.read = std::as_bytes(std::span(name.data(), name.size()));
-  const Message reply = co_await self_.send(request, rebound.server,
-                                            segments);
-  observe_reply_hints();
+  // Open the leaf directly against the member that answered, with no
+  // generation to expect; feed the repaired binding to the cache so the
+  // NEXT open goes to the new incarnation in one hop.
+  const Message reply =
+      co_await open_at(naming::wire::get_map_reply(probe_reply), name,
+                       static_cast<std::uint16_t>(split.leaf_start), mode, 0);
   if (reply.reply_code() != ReplyCode::kOk) co_return reply.reply_code();
-  if (cache_ != nullptr) {
-    // Feed the repaired binding to the cache so the NEXT open goes to the
-    // new incarnation in one hop.
-    const ipc::BindingHint hint = self_.last_binding_hint();
-    if (hint.valid() && !split.dir.empty()) {
-      cache_->put(split.dir,
-                  NameCache::Binding{
-                      {ipc::ProcessId{hint.server_pid}, hint.context_id},
-                      hint.generation, hint.consumed,
-                      self_.last_origin_hint()});
-    }
-  }
+  learn(name, split, self_.last_origin_hint());
   co_return decode_open_reply(self_, reply);
 }
 
@@ -515,27 +481,9 @@ sim::Co<ReplyCode> Rt::delete_prefix(std::string_view prefix) {
   co_return reply.reply_code();
 }
 
-sim::Co<Result<std::string>> Rt::context_name(naming::ContextPair ctx) {
+sim::Co<Result<std::string>> Rt::inverse_name(Message request,
+                                              ipc::ProcessId server) {
   co_await self_.compute(self_.params().send_build);
-  Message request;
-  request.set_code(RequestCode::kGetContextName);
-  request.set_u32(naming::wire::kOffInvContextId, ctx.context);
-  std::vector<std::byte> buffer(naming::kMaxNameLength);
-  ipc::Segments segments;
-  segments.write = buffer;
-  const Message reply = co_await self_.send(request, ctx.server, segments);
-  if (reply.reply_code() != ReplyCode::kOk) co_return reply.reply_code();
-  const std::uint16_t len = reply.u16(naming::wire::kOffInvNameLength);
-  if (len > buffer.size()) co_return ReplyCode::kBadArgs;
-  co_return std::string(reinterpret_cast<const char*>(buffer.data()), len);
-}
-
-sim::Co<Result<std::string>> Rt::file_name(ipc::ProcessId server,
-                                           io::InstanceId instance) {
-  co_await self_.compute(self_.params().send_build);
-  Message request;
-  request.set_code(RequestCode::kGetFileName);
-  request.set_u16(naming::wire::kOffInvInstanceId, instance);
   std::vector<std::byte> buffer(naming::kMaxNameLength);
   ipc::Segments segments;
   segments.write = buffer;
@@ -544,6 +492,21 @@ sim::Co<Result<std::string>> Rt::file_name(ipc::ProcessId server,
   const std::uint16_t len = reply.u16(naming::wire::kOffInvNameLength);
   if (len > buffer.size()) co_return ReplyCode::kBadArgs;
   co_return std::string(reinterpret_cast<const char*>(buffer.data()), len);
+}
+
+sim::Co<Result<std::string>> Rt::context_name(naming::ContextPair ctx) {
+  Message request;
+  request.set_code(RequestCode::kGetContextName);
+  request.set_u32(naming::wire::kOffInvContextId, ctx.context);
+  co_return co_await inverse_name(request, ctx.server);
+}
+
+sim::Co<Result<std::string>> Rt::file_name(ipc::ProcessId server,
+                                           io::InstanceId instance) {
+  Message request;
+  request.set_code(RequestCode::kGetFileName);
+  request.set_u16(naming::wire::kOffInvInstanceId, instance);
+  co_return co_await inverse_name(request, server);
 }
 
 }  // namespace v::svc

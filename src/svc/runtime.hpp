@@ -217,15 +217,20 @@ class Rt {
       ipc::ProcessId server, io::InstanceId instance);
 
  private:
+  /// A name's directory part and the index where its leaf starts.
   struct SplitName {
     std::string_view dir;
-    std::string_view leaf;
+    std::size_t leaf_start;
   };
   static SplitName split_dir_leaf(std::string_view name);
   static std::string bracket(std::string_view prefix);
 
-  /// Full-resolution open (the pre-cache path); populates the cache from
-  /// the reply's binding hint when one is attached.
+  /// The one learn step: cache `split.dir` -> the last reply's binding
+  /// hint (tied to `origin`), when a cache is attached and the server's
+  /// leaf boundary agrees with `split`.
+  void learn(std::string_view name, SplitName split,
+             const ipc::BindingHint& origin);
+  /// Full-resolution open (the pre-cache path), learning from its reply.
   [[nodiscard]] sim::Co<Result<OpenedFile>> open_resolved(
       std::string_view name, std::uint16_t mode);
   /// One-hop open against a cached binding, validated by expected
@@ -238,10 +243,14 @@ class Rt {
   void observe_reply_hints();
   /// Multicast-rebind open (paper §4): probe recovery_.rebind_group with a
   /// recovery-marked kMapContextName for the directory part, then open the
-  /// leaf directly against whichever member answered.  Returns `original`
-  /// when nobody answers (the probe changed nothing).
+  /// leaf one hop (open_at) against whichever member answered.  Returns
+  /// `original` when nobody answers (the probe changed nothing).
   [[nodiscard]] sim::Co<Result<OpenedFile>> open_via_rebind(
       std::string_view name, std::uint16_t mode, ReplyCode original);
+  /// One inverse-mapping transaction (GetContextName / GetFileName): send
+  /// `request` to `server` and read back the name it writes.
+  [[nodiscard]] sim::Co<Result<std::string>> inverse_name(
+      msg::Message request, ipc::ProcessId server);
 
   /// Bump the "namecache" registry counter `name` through handle `slot`,
   /// resolving it on first use: the entry appears at the same moment the

@@ -21,15 +21,6 @@ constexpr std::size_t kMaxAttempts = 64;
 /// and the new map is actionable immediately).
 constexpr sim::SimDuration kRetryDelay = 5 * sim::kMillisecond;
 
-/// "[prefix]rest" -> "prefix" ("" when the syntax does not match; the
-/// caller falls back to plain Rt routing).
-std::string_view prefix_of(std::string_view name) noexcept {
-  if (!naming::has_prefix_syntax(name)) return {};
-  const auto close = name.find(naming::kPrefixClose);
-  if (close == std::string_view::npos) return {};
-  return name.substr(1, close - 1);
-}
-
 }  // namespace
 
 sim::Co<bool> ShardRouter::refetch_map() {
@@ -55,7 +46,11 @@ sim::Co<bool> ShardRouter::refetch_map() {
 V_BORROWS_SPAN
 sim::Co<Result<Rt::OpenedFile>> ShardRouter::open(std::string_view name,
                                                   std::uint16_t mode) {
-  const std::string_view prefix = prefix_of(name);
+  // "[prefix]rest" routes by "prefix"; without the syntax (or with an empty
+  // prefix) the name falls back to plain Rt routing.
+  std::size_t rest = 0;
+  const std::string_view prefix =
+      naming::parse_prefix(name, rest).value_or(std::string_view{});
   if (prefix.empty()) {
     co_return co_await rt_.open_detailed(name, mode);
   }

@@ -6,12 +6,16 @@
 // see alloc_probe.hpp), and this test asserts the zero.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "chk/alloc_probe.hpp"
 #include "fault/fault.hpp"
 #include "ipc/kernel.hpp"
 #include "msg/message.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/time.hpp"
+#include "svc/name_cache.hpp"
 
 namespace v {
 namespace {
@@ -91,6 +95,39 @@ TEST(AllocProbe, WarmTransactionsUnderCrashOnlyPlanAllocateNothing) {
   EXPECT_EQ(plan.stats().retransmits, 0u);
   EXPECT_EQ(plan.stats().crashes, 1u);
 #endif
+}
+
+// The client name cache's slot table (DESIGN.md 4g): once full, warm hits
+// and an evicting put reuse the slot and its key buffer.
+TEST(AllocProbe, FullNameCacheHitsAndEvictionsAllocateNothing) {
+  if (!chk::alloc_probe_active()) {
+    GTEST_SKIP() << "probe inactive (sanitizer build owns the allocator)";
+  }
+  // Keys of one length past the small-string buffer: an evicted key's heap
+  // buffer must be what the next key lands in.
+  constexpr std::size_t kCapacity = 64;
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < 2 * kCapacity; ++i) {
+    keys.push_back("usr/mann/project-" + std::to_string(1000 + i));
+  }
+  const svc::NameCache::Binding binding{
+      {ipc::ProcessId::make(1, 2), 7}, 42, 9, {77, 0, 5, 0}};
+  svc::NameCache cache(kCapacity);
+  for (std::size_t i = 0; i < kCapacity; ++i) cache.put(keys[i], binding);
+  const std::uint64_t before = chk::alloc_counters().allocations;
+  std::size_t found = 0;
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    found += cache.find(keys[i]).has_value() ? 1 : 0;
+  }
+  for (std::size_t i = kCapacity; i < 2 * kCapacity; ++i) {
+    cache.put(keys[i], binding);  // evicts keys[i - kCapacity]
+  }
+  const std::uint64_t delta = chk::alloc_counters().allocations - before;
+  EXPECT_EQ(delta, 0u) << delta << " heap allocations";
+  EXPECT_EQ(found, kCapacity);
+  EXPECT_EQ(cache.size(), kCapacity);
+  EXPECT_FALSE(cache.find(keys[0]).has_value());
+  EXPECT_TRUE(cache.find(keys[2 * kCapacity - 1]).has_value());
 }
 
 }  // namespace

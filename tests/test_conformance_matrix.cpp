@@ -188,7 +188,7 @@ const Row kRows[] = {
      .refused = "fresh",
      .refused_mode = kReadWrite | kOpenCreate,
      .query_context = "OK context flags=0 size=1 id=0 pid=self ctx=0 mtime=0 "
-         "owner='' name=''",
+         "owner='' name='pipes'",
      .query_leaf = "OK device flags=3 size=0 id=1 pid=0 ctx=0 mtime=0 "
          "owner='pipe' name='seed'",
      .create_fresh = "OK gen+ query=OK",
@@ -213,7 +213,7 @@ const Row kRows[] = {
      .refused = "nobody",
      .refused_mode = kReadWrite | kOpenCreate,
      .query_context = "OK context flags=0 size=1 id=0 pid=self ctx=0 mtime=0 "
-         "owner='' name=''",
+         "owner='' name='mail'",
      .query_leaf = "OK mailbox flags=7 size=0 id=1 pid=0 ctx=0 mtime=0 "
          "owner='seed' name='seed@host'",
      .create_fresh = "OK gen+ query=OK",
@@ -238,7 +238,7 @@ const Row kRows[] = {
      .refused = "missing/leaf",
      .refused_mode = kOpenWrite | kOpenCreate,
      .query_context = "OK context flags=0 size=1 id=0 pid=self ctx=0 mtime=0 "
-         "owner='' name=''",
+         "owner='' name='printer-queue'",
      .query_leaf = "OK print-job flags=6 size=0 id=1 pid=0 ctx=2 mtime=0 "
          "owner='user' name='seed'",
      .create_fresh = "OK gen+ query=OK",
@@ -263,7 +263,7 @@ const Row kRows[] = {
      .refused = "nohost",
      .refused_mode = kReadWrite | kOpenCreate,
      .query_context = "OK context flags=0 size=1 id=0 pid=self ctx=0 mtime=0 "
-         "owner='' name=''",
+         "owner='' name='tcp'",
      .query_leaf = "OK connection flags=3 size=0 id=1 pid=0 ctx=0 mtime=0 "
          "owner='tcp' name='seed:80'",
      .create_fresh = "OK gen+ query=OK",
@@ -288,7 +288,7 @@ const Row kRows[] = {
      .refused = "missing/leaf",
      .refused_mode = kReadWrite | kOpenCreate,
      .query_context = "OK context flags=0 size=1 id=0 pid=self ctx=0 mtime=0 "
-         "owner='' name=''",
+         "owner='' name='terminals'",
      .query_leaf = "OK terminal flags=7 size=0 id=1 pid=0 ctx=0 mtime=0 "
          "owner='user' name='seed'",
      .create_fresh = "OK gen+ query=OK",
@@ -313,7 +313,7 @@ const Row kRows[] = {
      .refused = "fresh",
      .refused_mode = kOpenRead | kOpenCreate,
      .query_context = "OK context flags=0 size=1 id=0 pid=self ctx=0 mtime=0 "
-         "owner='' name=''",
+         "owner='' name='programs'",
      .query_leaf = "OK process flags=0 size=4096 id=1 pid=0 ctx=0 mtime=0 "
          "owner='team' name='edit.1'",
      .create_fresh = "ILLEGAL_REQUEST gen= query=NOT_FOUND",
@@ -338,7 +338,7 @@ const Row kRows[] = {
      .refused = "fresh",
      .refused_mode = kOpenRead | kOpenCreate,
      .query_context = "OK context flags=0 size=1 id=0 pid=self ctx=0 mtime=0 "
-         "owner='' name=''",
+         "owner='' name='exceptions'",
      .query_leaf = "OK device flags=1 size=9 id=65537 pid=other ctx=0 mtime=0 "
          "owner='exception' name='exc.1'",
      .create_fresh = "ILLEGAL_REQUEST gen= query=NOT_FOUND",

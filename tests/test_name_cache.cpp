@@ -5,6 +5,11 @@
 // produce silent wrong answers.
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
+#include <random>
+
+#include "common/flat_map.hpp"
 #include "naming/protocol.hpp"
 #include "svc/name_cache.hpp"
 #include "v_fixture.hpp"
@@ -158,6 +163,196 @@ TEST(NameCacheUnit, SweepDropsExactlyTheOlderDependents) {
   cache.observe_origin(gen9);
   EXPECT_FALSE(cache.find("again").has_value());
   EXPECT_EQ(cache.invalidations(), 3u);
+}
+
+// --- differential: the slot table against the map + list it replaced ------------
+
+/// The previous NameCache storage, kept verbatim as the oracle: a string-
+/// keyed std::map, a std::list LRU, and per-origin dependent counts that
+/// let observe_origin skip origins nothing was resolved through.
+class MapListCache {
+ public:
+  explicit MapListCache(std::size_t capacity) : capacity_(capacity) {}
+
+  std::optional<NameCache::Binding> find(std::string_view dir) {
+    auto it = entries_.find(dir);
+    if (it == entries_.end()) {
+      ++misses_;
+      return std::nullopt;
+    }
+    ++hits_;
+    lru_.splice(lru_.begin(), lru_, it->second.position);
+    return it->second.binding;
+  }
+
+  void put(std::string_view dir, const NameCache::Binding& binding) {
+    add_dependent(binding.origin);
+    auto it = entries_.find(dir);
+    if (it != entries_.end()) {
+      drop_dependent(it->second.binding.origin);
+      it->second.binding = binding;
+      lru_.splice(lru_.begin(), lru_, it->second.position);
+      return;
+    }
+    lru_.emplace_front(dir);
+    entries_.emplace(std::string(dir), Entry{binding, lru_.begin()});
+    if (entries_.size() > capacity_) {
+      auto victim = entries_.find(lru_.back());
+      drop_dependent(victim->second.binding.origin);
+      entries_.erase(victim);
+      lru_.pop_back();
+    }
+  }
+
+  void erase(std::string_view dir) {
+    auto it = entries_.find(dir);
+    if (it == entries_.end()) return;
+    ++invalidations_;
+    drop_dependent(it->second.binding.origin);
+    lru_.erase(it->second.position);
+    entries_.erase(it);
+  }
+
+  void observe_origin(const ipc::BindingHint& origin) {
+    if (!origin.valid()) return;
+    const std::uint64_t key = origin_key(origin);
+    if (const auto seen = origins_.find(key); seen == origins_.end()) {
+      origins_[key] = origin.generation;
+    } else if (origin.generation <= seen->second) {
+      return;
+    } else {
+      seen->second = origin.generation;
+    }
+    const auto deps = dependents_.find(key);
+    if (deps == dependents_.end()) return;
+    for (auto entry = entries_.begin(); entry != entries_.end();) {
+      const ipc::BindingHint& dep = entry->second.binding.origin;
+      if (dep.valid() && origin_key(dep) == key &&
+          dep.generation < origin.generation) {
+        ++invalidations_;
+        lru_.erase(entry->second.position);
+        entry = entries_.erase(entry);
+        if (--deps->second == 0) {
+          dependents_.erase(key);
+          return;
+        }
+      } else {
+        ++entry;
+      }
+    }
+  }
+
+  void clear() {
+    entries_.clear();
+    lru_.clear();
+    origins_.clear();
+    dependents_.clear();
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
+  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
+  [[nodiscard]] std::uint64_t invalidations() const noexcept {
+    return invalidations_;
+  }
+
+ private:
+  struct Entry {
+    NameCache::Binding binding;
+    std::list<std::string>::iterator position;
+  };
+  static std::uint64_t origin_key(const ipc::BindingHint& origin) noexcept {
+    return (std::uint64_t{origin.server_pid} << 32) | origin.context_id;
+  }
+  void add_dependent(const ipc::BindingHint& origin) {
+    if (origin.valid()) ++dependents_[origin_key(origin)];
+  }
+  void drop_dependent(const ipc::BindingHint& origin) {
+    if (!origin.valid()) return;
+    const std::uint64_t key = origin_key(origin);
+    if (--dependents_[key] == 0) dependents_.erase(key);
+  }
+
+  std::size_t capacity_;
+  std::map<std::string, Entry, std::less<>> entries_;
+  std::list<std::string> lru_;
+  FlatMap<std::uint64_t, std::uint32_t> origins_;
+  FlatMap<std::uint64_t, std::uint32_t> dependents_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t invalidations_ = 0;
+};
+
+bool same(const std::optional<NameCache::Binding>& a,
+          const std::optional<NameCache::Binding>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  if (!a) return true;
+  return a->target == b->target && a->generation == b->generation &&
+         a->consumed == b->consumed &&
+         a->origin.server_pid == b->origin.server_pid &&
+         a->origin.context_id == b->origin.context_id &&
+         a->origin.generation == b->origin.generation &&
+         a->origin.consumed == b->origin.consumed;
+}
+
+TEST(NameCacheUnit, SlotTableMatchesMapListOracle) {
+  // Short keys and ones past the small-string buffer; origins on two
+  // servers plus "no origin", over a few generations so sweeps both hit
+  // and miss.
+  const std::vector<std::string> keys = {
+      "a",   "b",   "[home]", "usr/mann", "[p3]d17", "usr/mann/proj/deeper",
+      "bin", "tmp", "tmp/x/y/z/longer-than-sso"};
+  for (const std::size_t capacity : {0u, 1u, 3u, 64u}) {
+    for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "capacity " << capacity << " seed " << seed);
+      std::mt19937 rng(seed);
+      auto pick = [&rng](std::size_t n) {
+        return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+      };
+      auto origin = [&] {
+        const std::uint32_t server = static_cast<std::uint32_t>(pick(3));
+        return ipc::BindingHint{server == 0 ? 0u : 70u + server,
+                                static_cast<std::uint32_t>(pick(2)),
+                                static_cast<std::uint32_t>(1 + pick(6)), 0};
+      };
+      NameCache cache(capacity);
+      MapListCache oracle(capacity);
+      for (int step = 0; step < 2'000; ++step) {
+        const std::string& key = keys[pick(keys.size())];
+        const std::size_t op = pick(100);
+        if (op < 35) {
+          const auto server = static_cast<std::uint16_t>(1 + pick(4));
+          const NameCache::Binding b{
+              {ipc::ProcessId::make(1, server),
+               static_cast<naming::ContextId>(pick(16))},
+              static_cast<std::uint32_t>(pick(50)),
+              static_cast<std::uint16_t>(pick(30)), origin()};
+          cache.put(key, b);
+          oracle.put(key, b);
+        } else if (op < 75) {
+          const auto got = cache.find(key);
+          const auto want = oracle.find(key);
+          EXPECT_TRUE(same(got, want)) << "find '" << key << "' step " << step;
+        } else if (op < 85) {
+          cache.erase(key);
+          oracle.erase(key);
+        } else if (op < 99) {
+          const ipc::BindingHint seen = origin();
+          cache.observe_origin(seen);
+          oracle.observe_origin(seen);
+        } else {
+          cache.clear();
+          oracle.clear();
+        }
+        ASSERT_EQ(cache.size(), oracle.size()) << "step " << step;
+        ASSERT_EQ(cache.hits(), oracle.hits()) << "step " << step;
+        ASSERT_EQ(cache.misses(), oracle.misses()) << "step " << step;
+        ASSERT_EQ(cache.invalidations(), oracle.invalidations())
+            << "step " << step;
+      }
+    }
+  }
 }
 
 // --- behaviour through the protocol ---------------------------------------------
@@ -324,6 +519,34 @@ TEST(NameCacheRt, ReusedContextIdDetectedByGeneration) {
     // open of the sibling.  Exactly one refusal ever happened.
     EXPECT_EQ(cache.hits(), 3u);
     EXPECT_EQ(cache.stale(), 1u);
+  });
+}
+
+TEST(NameCacheRt, DirectoryOpenThroughCachedParentKeepsItsBinding) {
+  VFixture fx;
+  fx.alpha.mkdirs("usr/mann/sub");
+  fx.run_client([](ipc::Process, svc::Rt rt) -> Co<void> {
+    NameCache cache;
+    rt.set_cache(&cache);
+    auto first = co_await rt.open("usr/mann/naming.mss", kOpenRead);
+    EXPECT_TRUE(first.ok());
+    if (first.ok()) {
+      svc::File f = first.take();
+      EXPECT_EQ(co_await f.close(), ReplyCode::kOk);
+    }
+    // Listing "usr/mann/sub" hits the "usr/mann" binding, and the server
+    // walks INTO sub: the reply's hint binds sub, past the leaf boundary.
+    // It must not overwrite the parent's binding.
+    auto listed = co_await rt.list_context("usr/mann/sub");
+    EXPECT_TRUE(listed.ok());
+    auto sibling = co_await rt.open("usr/mann/paper.mss", kOpenRead);
+    EXPECT_TRUE(sibling.ok()) << static_cast<int>(sibling.code());
+    if (sibling.ok()) {
+      svc::File f = sibling.take();
+      EXPECT_EQ(co_await f.close(), ReplyCode::kOk);
+    }
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(cache.stale(), 0u);
   });
 }
 

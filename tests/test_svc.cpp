@@ -116,6 +116,29 @@ TEST(Rt, OpenDetailedReportsFinalDirectoryContext) {
   });
 }
 
+TEST(Rt, OpenAtGenerationZeroExpectsNothing) {
+  VFixture fx;
+  fx.run_client([&fx](ipc::Process self, svc::Rt rt) -> Co<void> {
+    const naming::ContextPair mann{fx.alpha_pid,
+                                   fx.alpha.context_of("usr/mann")};
+    const std::uint32_t live = fx.alpha.generation(mann.context);
+    EXPECT_NE(live, 0u);  // generations are drawn from 1 on
+    // "usr/mann/" is 9 bytes: the server interprets only the leaf.
+    const std::string_view name = "usr/mann/naming.mss";
+    const msg::Message reply =
+        co_await rt.open_at(mann, name, 9, kOpenRead, /*expected=*/0);
+    EXPECT_EQ(reply.reply_code(), ReplyCode::kOk);
+    if (reply.reply_code() == ReplyCode::kOk) {
+      svc::File f = svc::Rt::decode_open_reply(self, reply).file;
+      EXPECT_EQ(co_await f.close(), ReplyCode::kOk);
+    }
+    // A nonzero expectation is still checked.
+    const msg::Message stale =
+        co_await rt.open_at(mann, name, 9, kOpenRead, live + 1);
+    EXPECT_EQ(stale.reply_code(), ReplyCode::kStaleContext);
+  });
+}
+
 TEST(Rt, QueryDescriptorOfPrefixedContext) {
   VFixture fx;
   fx.run_client([&fx](ipc::Process, svc::Rt rt) -> Co<void> {
