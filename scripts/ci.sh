@@ -19,7 +19,9 @@
 #                          # skips unchanged files via a content-hash cache)
 #   scripts/ci.sh slint    # V-lint static analysis (tools/vlint): tree must
 #                          # be clean, every seeded fixture must fail
-#   scripts/ci.sh fuzz     # 16-seed deterministic schedule-fuzz sweep
+#   scripts/ci.sh fuzz     # 16-seed deterministic schedule-fuzz sweep, and
+#                          # the 16-seed EventLoop-vs-reference-queue
+#                          # differential (test_engine)
 #   scripts/ci.sh scale    # E14: two smoke days byte-identical, and the full
 #                          # day identical to the checked-in BENCH_scale.json
 #   scripts/ci.sh bench-smoke  # run every bench with --json and validate
@@ -134,9 +136,12 @@ run_slint() {
 run_fuzz() {
   echo "==> fuzz (16-seed schedule sweep)"
   cmake --preset default
-  cmake --build --preset default -j "$(nproc)" --target test_schedule_fuzz
+  cmake --build --preset default -j "$(nproc)" \
+    --target test_schedule_fuzz test_engine
   # Failures print a one-command repro line (V_FUZZ_SEED=0x... ...).
   V_FUZZ_SEEDS=16 ./build/tests/test_schedule_fuzz
+  V_FUZZ_SEEDS=16 ./build/tests/test_engine \
+    --gtest_filter='EngineDifferential.*'
   echo "fuzz OK"
 }
 

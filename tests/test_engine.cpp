@@ -9,11 +9,15 @@
 // path, wheel cascades, and the far-future overflow heap.  A mismatch here
 // means the engine's observable semantics changed; do NOT re-record the
 // goldens without a deliberate (documented) tie-rule change.
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
+#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <queue>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -285,6 +289,276 @@ TEST(EngineLane, PendingCountsLaneEvents) {
   loop.run_until_idle();
   EXPECT_EQ(loop.pending(), 0u);
   EXPECT_EQ(ran, 3);
+}
+
+// --- differential: the loop against a reference priority_queue ------------
+// One seeded random schedule runs twice: through EventLoop, and through a
+// plain std::priority_queue over (at, tie, seq) — the original engine's
+// whole ordering rule.  The same-instant lane needs no model of its own:
+// with fuzz off a lane event's key is (now(), seq) with seq above every key
+// already pending at now(), so the lane must fire in exactly that order.
+// Each event's children are a pure function of (seed, event id), so both
+// runs schedule the same events for as long as they fire them in the same
+// order.  Delays span zero (the lane), sub-tick gaps, grids that make equal
+// timestamps common, and jumps past 2^52 ns (the 2^36-tick horizon of the
+// timer wheel the loop once used); three fibers hop through resume_after;
+// the driver interleaves outside scheduling, step() and run_until slices
+// and compares firing order, pending() and now() after each.
+// V_FUZZ_SEED=<seed> pins one seed, V_FUZZ_SEEDS=<n> sets the count
+// (default 16), as in test_schedule_fuzz.
+
+/// The loop's splitmix64 finalizer: under fuzz an event's tie key is
+/// mix64(seed ^ mix64(seq)) (event_loop.cpp).
+std::uint64_t mix64(std::uint64_t x) { return scenario_rand(x); }
+
+std::vector<std::uint64_t> differential_seeds() {
+  if (const char* pin = std::getenv("V_FUZZ_SEED")) {
+    return {std::strtoull(pin, nullptr, 0)};
+  }
+  std::size_t count = 16;
+  if (const char* n = std::getenv("V_FUZZ_SEEDS")) {
+    count = std::strtoull(n, nullptr, 0);
+    if (count == 0) count = 1;
+  }
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t i = 0; i < count; ++i) seeds.push_back(kSeedBase + i);
+  return seeds;
+}
+
+/// The random schedule both runs follow.  Ids number events in scheduling
+/// order, so an event's id is also its seq in both runs.
+class Script {
+ public:
+  static constexpr std::uint64_t kBudget = 2'000;  ///< ids per run
+  static constexpr sim::SimDuration kHorizon = sim::SimDuration{1} << 52;
+
+  explicit Script(std::uint64_t seed) : seed_(seed) {}
+
+  [[nodiscard]] std::uint64_t draw(std::uint64_t id, std::uint64_t k) const {
+    return mix64(seed_ ^ mix64(id * 16 + k));
+  }
+  std::uint64_t take_id() { return next_id_++; }
+  [[nodiscard]] bool fiber_continues() const { return next_id_ < kBudget; }
+
+  /// A delay: zero a quarter of the time, then coarse grids (equal
+  /// timestamps), sub-tick and tick-multiple gaps, spans across seconds to
+  /// hours, and a few times per run a jump straddling the 2^52 ns horizon.
+  sim::SimDuration delay(std::uint64_t r) {
+    const std::uint64_t v = r >> 8;
+    switch (r & 15) {
+      case 0: case 1: case 2: case 3: return 0;
+      case 4: case 5: return static_cast<sim::SimDuration>(v % 4) * 1'000;
+      case 6: case 7: return static_cast<sim::SimDuration>(v % 300'000);
+      case 8: return static_cast<sim::SimDuration>(v % 64) << 16;
+      case 9: case 10:
+        return static_cast<sim::SimDuration>(v % 8) * 5'000'000;
+      case 11: return static_cast<sim::SimDuration>(v % 4) * 1'000'000'000;
+      case 12: case 13:
+        return static_cast<sim::SimDuration>(v & ((std::uint64_t{1} << 44) - 1));
+      default:
+        if (far_left_ == 0) return static_cast<sim::SimDuration>(v % 1'000);
+        --far_left_;
+        return kHorizon - 1 + static_cast<sim::SimDuration>(v % 3);
+    }
+  }
+
+  /// Schedule the children of event `id` into `sink` (0–3 of them while
+  /// the id budget lasts): absolute times on a 1 ms grid around now(),
+  /// which may lie in the past (clamped to now()), or delays.
+  template <typename Sink>
+  void children(std::uint64_t id, Sink& sink) {
+    const int count = next_id_ < kBudget ? static_cast<int>(draw(id, 0) % 4) : 0;
+    for (int i = 0; i < count; ++i) {
+      const std::uint64_t c = draw(id, 1 + static_cast<std::uint64_t>(i));
+      if ((c >> 62) == 0) {
+        constexpr sim::SimTime kGrid = 1'000'000;
+        const sim::SimTime at =
+            (sink.now() / kGrid + static_cast<sim::SimTime>((c >> 8) % 3) - 1) *
+            kGrid;
+        sink.at(at, take_id());
+      } else {
+        sink.after(delay(c), take_id());
+      }
+    }
+  }
+
+ private:
+  std::uint64_t seed_;
+  std::uint64_t next_id_ = 0;
+  int far_left_ = 6;
+};
+
+/// EventLoop under test, recording the ids it fires.
+struct LoopRun {
+  explicit LoopRun(std::uint64_t seed) : script(seed) {}
+  sim::EventLoop loop;
+  Script script;
+  std::vector<std::uint64_t> fired;
+
+  [[nodiscard]] sim::SimTime now() const { return loop.now(); }
+  void at(sim::SimTime t, std::uint64_t id) {
+    loop.schedule_at(t, [this, id] { fire(id); });
+  }
+  void after(sim::SimDuration d, std::uint64_t id) {
+    loop.schedule_after(d, [this, id] { fire(id); });
+  }
+  void fire(std::uint64_t id) {
+    fired.push_back(id);
+    script.children(id, *this);
+  }
+};
+
+struct ResumeAfter {
+  sim::EventLoop& loop;
+  sim::SimDuration delay;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    loop.resume_after(delay, h, nullptr);
+  }
+  void await_resume() const noexcept {}
+};
+
+/// A fiber whose every wake-up is a resume event with its own id.
+sim::Co<void> hopper(LoopRun& run) {
+  for (std::uint64_t id = run.script.take_id();; id = run.script.take_id()) {
+    co_await ResumeAfter{run.loop, run.script.delay(run.script.draw(id, 7))};
+    run.fire(id);
+    if (!run.script.fiber_continues()) co_return;
+  }
+}
+
+/// The reference: one priority_queue under the original engine's key.
+struct ModelRun {
+  struct Event {
+    sim::SimTime at;
+    std::uint64_t tie;
+    std::uint64_t seq;
+    bool resume;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return std::tie(a.at, a.tie, a.seq) > std::tie(b.at, b.tie, b.seq);
+    }
+  };
+
+  explicit ModelRun(std::uint64_t seed) : script(seed) {}
+  std::priority_queue<Event, std::vector<Event>, Later> queue;
+  sim::SimTime clock = 0;
+  std::optional<std::uint64_t> fuzz;
+  Script script;
+  std::vector<std::uint64_t> fired;
+
+  [[nodiscard]] sim::SimTime now() const { return clock; }
+  void at(sim::SimTime t, std::uint64_t id, bool resume = false) {
+    const std::uint64_t tie = fuzz ? mix64(*fuzz ^ mix64(id)) : id;
+    queue.push({std::max(t, clock), tie, id, resume});
+  }
+  void after(sim::SimDuration d, std::uint64_t id) { at(clock + d, id); }
+  void hop(std::uint64_t id) {
+    at(clock + script.delay(script.draw(id, 7)), id, true);
+  }
+  bool step() {
+    if (queue.empty()) return false;
+    const Event e = queue.top();
+    queue.pop();
+    clock = e.at;
+    fired.push_back(e.seq);
+    script.children(e.seq, *this);
+    if (e.resume && script.fiber_continues()) hop(script.take_id());
+    return true;
+  }
+  void run_until(sim::SimTime deadline) {
+    while (!queue.empty() && queue.top().at <= deadline) step();
+    clock = std::max(clock, deadline);
+  }
+};
+
+/// Index of the first position where the two firing orders differ, or
+/// the shorter length when one is a prefix of the other.
+std::size_t first_divergence(const std::vector<std::uint64_t>& a,
+                             const std::vector<std::uint64_t>& b) {
+  return static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first - a.begin());
+}
+
+void run_differential(std::uint64_t seed, bool fuzz) {
+  SCOPED_TRACE(::testing::Message()
+               << (fuzz ? "fuzz" : "fifo") << " seed 0x" << std::hex << seed
+               << "; reproduce with: V_FUZZ_SEED=0x" << seed
+               << " tests/test_engine --gtest_filter='EngineDifferential.*'");
+  LoopRun run(seed);
+  ModelRun model(seed);
+  if (fuzz) {
+    run.loop.enable_fuzz(seed);
+    model.fuzz = seed;
+  }
+  std::vector<std::unique_ptr<sim::Fiber>> hoppers;
+  for (int f = 0; f < 3; ++f) {
+    hoppers.push_back(std::make_unique<sim::Fiber>(hopper(run)));
+    hoppers.back()->start();
+    model.hop(model.script.take_id());
+  }
+  const Script outside(~seed);
+  auto check = [&](std::uint64_t op) {
+    ASSERT_EQ(run.fired.size(), model.fired.size()) << "after op " << op;
+    const std::size_t at = first_divergence(run.fired, model.fired);
+    ASSERT_EQ(at, run.fired.size())
+        << "after op " << op << ": loop fired " << run.fired[at]
+        << ", the reference " << model.fired[at];
+    ASSERT_EQ(run.loop.pending(), model.queue.size()) << "after op " << op;
+    ASSERT_EQ(run.loop.now(), model.clock) << "after op " << op;
+  };
+  for (std::uint64_t op = 0; op < 200; ++op) {
+    const std::uint64_t r = outside.draw(op, 0);
+    const std::uint64_t v = r >> 8;
+    switch (r % 4) {
+      case 0:  // roots from outside, at now() or later
+        for (std::uint64_t i = 0; i <= v % 4; ++i) {
+          const std::uint64_t d = outside.draw(op, 1 + i);
+          run.after(run.script.delay(d), run.script.take_id());
+          model.after(model.script.delay(d), model.script.take_id());
+        }
+        break;
+      case 1:  // single steps
+        for (std::uint64_t i = 0; i <= v % 3; ++i) {
+          ASSERT_EQ(run.loop.step(), model.step()) << "op " << op;
+        }
+        break;
+      default: {  // a run_until slice: to now(), sub-tick, ms, s, or far
+        const sim::SimDuration slices[] = {
+            0, static_cast<sim::SimDuration>(v % 100'000),
+            static_cast<sim::SimDuration>(v % 8) * 5'000'000,
+            static_cast<sim::SimDuration>(v % 2'000'000'000),
+            Script::kHorizon * 2};
+        const sim::SimDuration slice = slices[(v >> 32) % (v % 32 == 0 ? 5 : 4)];
+        const sim::SimTime deadline = run.loop.now() + slice;
+        run.loop.run_until(deadline);
+        model.run_until(deadline);
+        break;
+      }
+    }
+    check(op);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  run.loop.run_until_idle();
+  while (model.step()) {
+  }
+  check(200);
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_GE(run.fired.size(), Script::kBudget / 2);  // the schedule did run
+  for (const auto& h : hoppers) EXPECT_TRUE(h->done());
+}
+
+TEST(EngineDifferential, FifoMatchesReferenceQueue) {
+  for (const std::uint64_t seed : differential_seeds()) {
+    run_differential(seed, false);
+  }
+}
+
+TEST(EngineDifferential, FuzzMatchesReferenceQueue) {
+  for (const std::uint64_t seed : differential_seeds()) {
+    run_differential(seed, true);
+  }
 }
 
 // --- resume events --------------------------------------------------------
