@@ -17,7 +17,7 @@
 //                     Being under the gate also forbids kernel sends and
 //                     WaitQueue waits in its body (rule suspend-under-gate).
 //
-//   V_HOT_PATH        The function is on a measured hot path (timer-wheel
+//   V_HOT_PATH        The function is on a measured hot path (event-loop
 //                     dispatch, InlineAction invoke, kernel send/reply,
 //                     warm cached open).  Its body must not allocate
 //                     (operator new, make_unique/make_shared), construct a

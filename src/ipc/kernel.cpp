@@ -453,11 +453,9 @@ Domain::Domain(CalibrationParams params, std::uint64_t seed)
   });
   mirror("loop", "negative_delay_clamps",
          &loop_.stats().negative_delay_clamps);
-  // Timer-wheel internals (DESIGN.md §4i): cascade/promotion rates expose
-  // scheduler load shape, the inline/heap split flags any closure that
-  // outgrew the Action inline buffer and started allocating per event.
-  mirror("loop", "wheel_cascades", &loop_.stats().wheel_cascades);
-  mirror("loop", "overflow_promotions", &loop_.stats().overflow_promotions);
+  // Scheduler actions (DESIGN.md §4i): the inline/heap split flags any
+  // closure that outgrew the Action inline buffer and started allocating
+  // per event.
   mirror("loop", "actions_inline", &loop_.stats().actions_inline);
   mirror("loop", "actions_heap", &loop_.stats().actions_heap);
   // Coroutine-frame pool (process-wide, not per-domain: frames recycle

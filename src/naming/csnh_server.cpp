@@ -558,7 +558,7 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
   // Interpretation terminated at this server: record how many Forward hops
   // the request took to get here (0 = answered by the first server).
   cached_hist(self, m_hops_, "hops")
-      .add(static_cast<double>(msg::cs::forward_count(env.request)));
+      .record(static_cast<double>(msg::cs::forward_count(env.request)));
 
   // 5. Dispatch the operation against (ctx, leaf).  Mutating operations
   //    first acquire the (ctx, leaf) gate so concurrent team workers apply
@@ -1097,7 +1097,7 @@ void CsnhServer::metric_gauge(ipc::Process& self, std::string_view name,
 
 void CsnhServer::metric_hist(ipc::Process& self, std::string_view name,
                              double value) {
-  self.domain().metrics().histogram(metrics_scope_, name).add(value);
+  self.domain().metrics().histogram(metrics_scope_, name).record(value);
 }
 
 }  // namespace v::naming

@@ -527,8 +527,9 @@ class CsnhServer {
     }
     return *slot;
   }
-  obs::Histogram& cached_hist(ipc::Process& self, obs::Histogram*& slot,
-                              std::string_view name) {
+  obs::LogHistogram& cached_hist(ipc::Process& self,
+                                 obs::LogHistogram*& slot,
+                                 std::string_view name) {
     if (slot == nullptr) {
       slot = &self.domain().metrics().histogram(metrics_scope_, name);
     }
@@ -542,7 +543,7 @@ class CsnhServer {
   obs::Counter* m_sheds_ = nullptr;
   obs::Counter* m_stale_context_ = nullptr;
   obs::Gauge* m_queue_depth_ = nullptr;
-  obs::Histogram* m_hops_ = nullptr;
+  obs::LogHistogram* m_hops_ = nullptr;
   FlatMap<std::uint16_t, obs::Counter*> req_counters_;
 };
 

@@ -63,8 +63,8 @@ Gauge& MetricsRegistry::gauge(std::string_view scope, std::string_view name) {
   return entry(scope, name, Metric::Kind::kGauge).gauge;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view scope,
-                                      std::string_view name) {
+LogHistogram& MetricsRegistry::histogram(std::string_view scope,
+                                         std::string_view name) {
   return entry(scope, name, Metric::Kind::kHistogram).histogram;
 }
 
@@ -92,7 +92,7 @@ std::string MetricsRegistry::render(const Metric& metric) {
     case Metric::Kind::kCallback:
       return metric.callback ? number_text(metric.callback()) : "0";
     case Metric::Kind::kHistogram: {
-      const LogHistogram& hist = metric.histogram.data();
+      const LogHistogram& hist = metric.histogram;
       if (hist.empty()) return "count=0";
       char buf[160];
       std::snprintf(buf, sizeof buf,

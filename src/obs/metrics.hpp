@@ -38,9 +38,9 @@ namespace v::obs {
 /// millions of E12 opens.  Values are non-negative doubles (typically simulated
 /// milliseconds), quantized to 1/1024 of the input unit (~1 µs for ms).
 ///
-/// A header-only value type with no registry ties: bench and workload
-/// harness code streams samples through it as a client-side statistics
-/// accumulator.
+/// A header-only value type: the registry stores one per histogram entry,
+/// and bench and workload harness code streams samples through it as a
+/// client-side statistics accumulator.
 class LogHistogram {
  public:
   static constexpr int kSubBucketBits = 4;  ///< 16 sub-buckets per octave
@@ -160,17 +160,6 @@ class Gauge {
   std::int64_t high_water_ = 0;
 };
 
-/// Sample distribution (count/mean/percentiles via obs::LogHistogram —
-/// see its comment for why the registry no longer stores raw samples).
-class Histogram {
- public:
-  void add(double v) { hist_.record(v); }
-  [[nodiscard]] const LogHistogram& data() const noexcept { return hist_; }
-
- private:
-  LogHistogram hist_;
-};
-
 /// Per-opcode latency SLO counters: each opcode with a configured budget
 /// counts replies that landed within it vs over it.  observe() sits on
 /// the kernel's reply-completion path, so it is a linear scan over a
@@ -235,7 +224,7 @@ class MetricsRegistry {
   /// so hot paths can cache them.
   Counter& counter(std::string_view scope, std::string_view name);
   Gauge& gauge(std::string_view scope, std::string_view name);
-  Histogram& histogram(std::string_view scope, std::string_view name);
+  LogHistogram& histogram(std::string_view scope, std::string_view name);
 
   /// Register a live read-through entry (mirrors external counters such as
   /// DomainStats fields without moving their storage).
@@ -263,7 +252,7 @@ class MetricsRegistry {
     Kind kind = Kind::kCounter;
     Counter counter;
     Gauge gauge;
-    Histogram histogram;
+    LogHistogram histogram;
     std::function<double()> callback;
   };
   using ScopeMap = std::map<std::string, Metric, std::less<>>;

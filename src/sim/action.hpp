@@ -5,8 +5,8 @@
 // small-object threshold — which includes nearly every kernel closure (the
 // deliver path captures a whole Envelope).  InlineAction raises the inline
 // capacity to fit the largest hot closure in the kernel (sized below, with
-// the audit) and is MOVE-ONLY, so the scheduler can relocate events between
-// wheel slots and heaps without the copy std::function would force and
+// the audit) and is MOVE-ONLY, so the scheduler can move an action into
+// and out of its slab node without the copy std::function would force and
 // without touching the allocator.
 //
 // Anything larger than the buffer still works — it falls back to a single

@@ -14,17 +14,13 @@
 // this freedom: same seed, same schedule; a failing seed reproduces the
 // interleaving in one command.
 //
-// Scheduler (see DESIGN.md §4i): a hierarchical timer wheel — 6 levels of
-// 64 slots over a 65.536 µs tick — feeding a small "due heap" that holds
-// only the events of the tick being drained.  Insert and pop are O(1)
-// amortized at wheel granularity; ordering WITHIN a tick goes through the
-// due heap using the exact (at, tie, seq) key of the old priority_queue
-// engine, so firing order (FIFO and fuzz-hash) is bit-identical to it.
-// Events beyond the wheel horizon (2^36 ticks ≈ 52 simulated days) wait in
-// an overflow heap and are promoted as the wheel cursor approaches.
-// With fuzz off, an event scheduled at exactly now() skips the due heap for
-// a FIFO "same-instant lane" that fires after the due heap's events at
-// now() and before anything later — the same order (DESIGN.md §4i).
+// Scheduler (see DESIGN.md §4i): one binary heap of 32-byte keys ordered
+// by the exact (at, tie, seq) key of the original priority_queue engine,
+// so firing order (FIFO and fuzz-hash) is the same as that engine's.  The
+// actions wait in a slab; the heap moves keys only.  With fuzz off, an
+// event scheduled at exactly now() skips the heap for a FIFO "same-instant
+// lane" that fires after the heap's events at now() and before anything
+// later — the same order (DESIGN.md §4i).
 #pragma once
 
 #include <cassert>
@@ -50,15 +46,9 @@ struct EventLoopStats {
   /// debug builds assert, release builds count so fuzz sweeps can flag
   /// time-travel bugs that only surface under permuted schedules.
   std::uint64_t negative_delay_clamps = 0;
-  /// Events redistributed from a higher wheel level toward level 0 when the
-  /// cursor entered their slot.  Each event cascades at most 5 times; a
-  /// high rate relative to events_executed means delays routinely span
-  /// level boundaries (expected for multi-second timeouts, worth a look if
-  /// sub-millisecond traffic dominates it).
+  /// Always 0 (the scheduler has no timer wheel); kept because
+  /// bench/vbench reads it for its `sim.wheel_cascades` field.
   std::uint64_t wheel_cascades = 0;
-  /// Events promoted out of the far-future overflow heap into the wheel.
-  /// Nonzero only when something schedules > ~52 simulated days ahead.
-  std::uint64_t overflow_promotions = 0;
   /// Scheduled actions that fit InlineAction's buffer (no allocation) vs.
   /// ones that spilled to a heap node.  actions_heap > 0 in a hot loop
   /// means some closure outgrew the inline budget — find it and shrink it.
@@ -68,7 +58,7 @@ struct EventLoopStats {
   /// Host-clock nanoseconds spent running events — actions plus scheduler
   /// overhead, accumulated per run_until_idle/run_until burst rather than
   /// per event (a per-event clock read would dominate the hot path at
-  /// timer-wheel speeds).  V-trace profiling; host time only, never read
+  /// scheduler speeds).  V-trace profiling; host time only, never read
   /// by simulated behavior.
   std::uint64_t wall_ns = 0;
 };
@@ -150,7 +140,7 @@ class EventLoop {
     return executed_;
   }
 
-  /// Number of events currently pending (due heap, lane, wheel, overflow).
+  /// Number of events currently pending (heap and lane).
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
   [[nodiscard]] const EventLoopStats& stats() const noexcept { return stats_; }
@@ -181,7 +171,7 @@ class EventLoop {
   /// given seed.  Call before scheduling anything; events already queued
   /// keep their FIFO tie keys.  Fuzz bypasses the same-instant lane: a
   /// hashed tie may sort before events already pending, which only the
-  /// due heap can express.
+  /// heap can express.
   void enable_fuzz(std::uint64_t seed) noexcept {
     fuzz_ = true;
     fuzz_seed_ = seed;
@@ -190,9 +180,8 @@ class EventLoop {
 
  private:
   /// Ordering key of one pending event, plus the slab index of its action.
-  /// Keys are 32-byte PODs: everything the scheduler shuffles (heap sifts,
-  /// wheel cascades) copies keys, never actions — the action is written
-  /// once into its slab node and read once at execution.
+  /// Keys are 32-byte PODs: heap sifts copy keys, never actions — the
+  /// action is written once into its slab node and read once at execution.
   struct Key {
     SimTime at;
     std::uint64_t tie;  ///< seq normally; seeded hash of seq under fuzz
@@ -213,38 +202,16 @@ class EventLoop {
   /// handle and its fiber (`resume` non-null, `action` empty).  Nodes live
   /// in fixed chunks (stable addresses, no vector-growth relocation) and
   /// recycle through a free list — after warm-up the loop schedules
-  /// without allocating.  While an event waits in a wheel slot, its node
-  /// ALSO holds the ordering key (at/tie/seq) and `next` threads the
-  /// slot's intrusive chain — wheel buckets are node chains, not vectors,
-  /// so parking an event never allocates either.  A lane node uses `next`
-  /// as the lane's FIFO link, a free node as the free-list link.
+  /// without allocating.  A lane node uses `next` as the lane's FIFO link,
+  /// a free node as the free-list link.
   struct Node {
     Action action;
     std::coroutine_handle<> resume = nullptr;
     FiberState* fiber = nullptr;
-    SimTime at = 0;
-    std::uint64_t tie = 0;
-    std::uint64_t seq = 0;
     std::uint32_t next = kNilNode;
   };
   static constexpr std::uint32_t kNilNode = 0xffffffffu;
-  static constexpr std::size_t kChunkBits = 9;  // 512 nodes = 112 KiB / chunk
-
-  // Wheel geometry.  A tick is 2^16 ns = 65.536 µs — comfortably below the
-  // smallest calibrated delay (the 385 µs local hop), so same-tick
-  // collisions of DIFFERENT timestamps are rare and cheaply resolved by
-  // the due heap.  Six levels of 64 slots cover 2^36 ticks ≈ 52 simulated
-  // days; beyond that, the overflow heap.
-  static constexpr int kTickBits = 16;
-  static constexpr int kSlotBits = 6;
-  static constexpr int kLevels = 6;
-  static constexpr std::size_t kSlotsPerLevel = std::size_t{1} << kSlotBits;
-  static constexpr int kWheelBits = kLevels * kSlotBits;  // 36
-
-  V_HOT_PATH
-  static std::uint64_t tick_of(SimTime at) noexcept {
-    return static_cast<std::uint64_t>(at) >> kTickBits;
-  }
+  static constexpr std::size_t kChunkBits = 9;  // 512 nodes = 104 KiB / chunk
 
   [[nodiscard]] std::uint64_t tie_key(std::uint64_t seq) const noexcept;
 
@@ -259,7 +226,7 @@ class EventLoop {
   }
 
   /// Give the filled node `idx` its sequence number and file it: the lane
-  /// when `at` is now() and fuzz is off, else the due heap or the wheel.
+  /// when `at` is now() and fuzz is off, else the heap.
   void enqueue(SimTime at, std::uint32_t idx);
   /// Fire node `idx` at time `at`: free it, advance now(), run it.
   void fire(std::uint32_t idx, SimTime at);
@@ -291,12 +258,6 @@ class EventLoop {
 
   void push_due(const Key& key);
   Key pop_due();
-  /// Insert a key whose tick is strictly ahead of the cursor.
-  void wheel_insert(const Key& key);
-  /// Refill the due heap from the wheel/overflow.  Precondition: due heap
-  /// empty, pending_ > 0.  Postcondition: due heap non-empty, cursor on
-  /// the earliest pending tick.
-  void advance();
 
   FireHook fire_hook_ = nullptr;
   void* fire_ctx_ = nullptr;
@@ -307,23 +268,13 @@ class EventLoop {
   std::uint64_t fuzz_seed_ = 0;
   EventLoopStats stats_;
 
-  /// Wheel cursor: every event with tick ≤ cur_tick_ has been moved to the
-  /// due heap; the wheel and overflow hold only ticks strictly ahead.
-  std::uint64_t cur_tick_ = 0;
-  std::size_t pending_ = 0;  ///< due + lane + wheel + overflow
-  std::vector<Key> due_;     ///< binary heap (Later): the tick being drained
-  std::vector<Key> overflow_;  ///< binary heap: > 2^36 ticks ahead
+  std::size_t pending_ = 0;  ///< heap + lane
+  std::vector<Key> due_;     ///< binary heap (Later): every non-lane event
   /// Same-instant lane: a FIFO chain (through Node::next) of events
   /// scheduled at exactly now() with fuzz off.  Every lane event is at
   /// now(), so it needs no key; FIFO order is seq order.
   std::uint32_t lane_head_ = kNilNode;
   std::uint32_t lane_tail_ = kNilNode;
-  std::uint64_t occupied_[kLevels] = {};  ///< per-level slot bitmaps
-  /// Wheel slots: head node index of each slot's intrusive chain (the
-  /// keys live in the slab nodes; see Node).  Chain order is arbitrary —
-  /// the due heap's strict (at, tie, seq) order, with seq unique, fixes
-  /// the firing order regardless of how a slot was threaded.
-  std::uint32_t slots_[kLevels][kSlotsPerLevel];
   std::vector<std::unique_ptr<Node[]>> chunks_;  ///< action slab
   std::uint32_t free_head_ = kNilNode;
   std::uint32_t slab_used_ = 0;  ///< high-water mark of allocated nodes

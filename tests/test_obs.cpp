@@ -569,6 +569,47 @@ TEST(Metrics, LogHistogramBoundedRelativeError) {
   EXPECT_DOUBLE_EQ(h.percentile(1.0), 100.0);
 }
 
+// A histogram entry renders its LogHistogram's summary; these strings pin
+// the `[metrics]` text and the JSON snapshot byte for byte.
+TEST(Metrics, HistogramEntryRendersItsSummary) {
+  obs::MetricsRegistry reg;
+  obs::LogHistogram& h = reg.histogram("srv", "latency_ms");
+  EXPECT_EQ(reg.value_text("srv", "latency_ms"), "count=0\n");
+  for (const double v : {0.5, 1.0, 1.0, 2.0, 38.5}) h.record(v);
+  EXPECT_EQ(&reg.histogram("srv", "latency_ms"), &h);  // find, not create
+  reg.counter("srv", "requests").inc(5);
+  EXPECT_EQ(reg.value_text("srv", "latency_ms"),
+            "count=5 mean=8.6000 p50=1.0312 p99=2.0625 max=38.5000\n");
+  EXPECT_EQ(reg.to_json(),
+            "{\n"
+            "  \"srv\": {\n"
+            "    \"latency_ms\": \"count=5 mean=8.6000 p50=1.0312 "
+            "p99=2.0625 max=38.5000\",\n"
+            "    \"requests\": 5\n"
+            "  }\n"
+            "}\n");
+}
+
+TEST(Metrics, ServerRecordsForwardHopsInItsHistogram) {
+  ChainFixture fx(2);  // fs0 -> fs1 -> fs2: the open ends two hops out
+  fx.ws->spawn("client", [&](ipc::Process self) -> Co<void> {
+    svc::Rt rt(self, {ipc::ProcessId::invalid(),
+                      {fx.pids[0], naming::kDefaultContext}});
+    for (int i = 0; i < 2; ++i) {
+      auto opened = co_await rt.open("next/next/payload.dat", kOpenRead);
+      EXPECT_TRUE(opened.ok());
+      if (opened.ok()) {
+        svc::File f = opened.take();
+        (void)co_await f.close();
+      }
+    }
+  });
+  fx.dom.run();
+  ASSERT_EQ(fx.dom.process_failures(), 0u);
+  EXPECT_EQ(fx.dom.metrics().value_text("fs2", "hops"),
+            "count=2 mean=2.0000 p50=2.0000 p99=2.0000 max=2.0000\n");
+}
+
 TEST(Metrics, LogHistogramClampsPathologicalInputs) {
   obs::LogHistogram h;
   h.record(-3.0);  // negative → zero bucket, not UB
