@@ -3,6 +3,8 @@
 // name parsing and descriptor encode/decode.  These gate the simulator's
 // own performance (how fast wall-clock time the reproduction runs), not
 // the paper's numbers.
+#include <cstdint>
+
 #include <benchmark/benchmark.h>
 
 #include "ipc/kernel.hpp"
@@ -18,19 +20,31 @@ namespace {
 
 using namespace v;
 
-void BM_EventLoopScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::EventLoop loop;
-    int sink = 0;
-    for (int i = 0; i < 1000; ++i) {
-      loop.schedule_at(i, [&sink] { ++sink; });
-    }
-    loop.run_until_idle();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
+/// One self-rescheduling timer: fires and re-arms 1 ns to 2 ms out, so a
+/// population of them holds the scheduler at a fixed pending depth.
+void arm_timer(sim::EventLoop& loop, std::uint64_t& rng) {
+  rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+  const auto delay =
+      1 + static_cast<sim::SimDuration>((rng >> 33) % (2 * sim::kMillisecond));
+  loop.schedule_after(delay, [&loop, &rng] { arm_timer(loop, rng); });
 }
-BENCHMARK(BM_EventLoopScheduleRun);
+
+/// Host cost of one event at a steady pending depth of range(0) timers:
+/// 32 and 128 bracket the vbench workloads' mean heap depths, 16384 is
+/// bench_engine's timer-churn (EXPERIMENTS E23).  Each iteration runs one
+/// slice of simulated time worth about 1000 events; items are events.
+void BM_EventLoopScheduleRun(benchmark::State& state) {
+  const auto depth = static_cast<sim::SimDuration>(state.range(0));
+  sim::EventLoop loop;
+  std::uint64_t rng = 0x1984'0601ULL;
+  for (sim::SimDuration i = 0; i < depth; ++i) arm_timer(loop, rng);
+  const sim::SimDuration slice = sim::kMillisecond * 1000 / depth;
+  const std::uint64_t first = loop.events_executed();
+  for (auto _ : state) loop.run_until(loop.now() + slice);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(loop.events_executed() - first));
+}
+BENCHMARK(BM_EventLoopScheduleRun)->Arg(32)->Arg(128)->Arg(16384);
 
 void BM_IpcTransactionRoundTrips(benchmark::State& state) {
   for (auto _ : state) {

@@ -21,7 +21,7 @@
 #                          # be clean, every seeded fixture must fail
 #   scripts/ci.sh fuzz     # 16-seed deterministic schedule-fuzz sweep, and
 #                          # the 16-seed EventLoop-vs-reference-queue
-#                          # differential (test_engine)
+#                          # differential and heap-shape drains (test_engine)
 #   scripts/ci.sh scale    # E14: two smoke days byte-identical, and the full
 #                          # day identical to the checked-in BENCH_scale.json
 #   scripts/ci.sh bench-smoke  # run every bench with --json and validate
@@ -141,7 +141,7 @@ run_fuzz() {
   # Failures print a one-command repro line (V_FUZZ_SEED=0x... ...).
   V_FUZZ_SEEDS=16 ./build/tests/test_schedule_fuzz
   V_FUZZ_SEEDS=16 ./build/tests/test_engine \
-    --gtest_filter='EngineDifferential.*'
+    --gtest_filter='EngineDifferential.*:EngineBoundary.HeapOfEverySizeDrainsInOrderFuzz'
   echo "fuzz OK"
 }
 

@@ -1,6 +1,5 @@
 #include "sim/event_loop.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -11,6 +10,18 @@
 namespace v::sim {
 
 namespace {
+
+/// Adds the host time of its scope to a wall_ns counter.
+struct WallTimer {
+  std::uint64_t& ns;
+  const std::chrono::steady_clock::time_point start =
+      std::chrono::steady_clock::now();
+  ~WallTimer() {
+    const std::chrono::nanoseconds took =
+        std::chrono::steady_clock::now() - start;
+    ns += static_cast<std::uint64_t>(took.count());
+  }
+};
 
 /// VLOG bridge: every log line is stamped with the simulated time and pid
 /// of whatever the ambient context says is running right now.
@@ -42,31 +53,12 @@ EventLoop::EventLoop() {
   log_detail::set_context_provider(&ambient_log_context);
 }
 
-V_HOT_PATH
-std::uint64_t EventLoop::tie_key(std::uint64_t seq) const noexcept {
-  return fuzz_ ? mix64(fuzz_seed_ ^ mix64(seq)) : seq;
-}
-
 std::uint32_t EventLoop::fresh_node() {
   const std::uint32_t idx = slab_used_++;
   if ((idx >> kChunkBits) == chunks_.size()) {
     chunks_.push_back(std::make_unique<Node[]>(std::size_t{1} << kChunkBits));
   }
   return idx;
-}
-
-V_HOT_PATH
-void EventLoop::push_due(const Key& key) {
-  due_.push_back(key);
-  std::push_heap(due_.begin(), due_.end(), Later{});
-}
-
-V_HOT_PATH
-EventLoop::Key EventLoop::pop_due() {
-  std::pop_heap(due_.begin(), due_.end(), Later{});
-  const Key key = due_.back();
-  due_.pop_back();
-  return key;
 }
 
 V_HOT_PATH
@@ -86,9 +78,28 @@ void EventLoop::enqueue(SimTime at, std::uint32_t idx) {
     lane_tail_ = idx;
     return;
   }
-  // Under fuzz a fresh arrival's hashed tie may sort BEFORE events already
+  // The tie is seq, or under fuzz a hash of it that is a bijection (mix64
+  // is), so no two keys share one and (at, tie) orders like (at, tie,
+  // seq).  A fresh arrival's hashed tie may sort BEFORE events already
   // pending at the same instant — exactly the original engine's order.
-  push_due(Key{at, tie_key(seq), seq, idx});
+  const Key key{at, fuzz_ ? mix64(*fuzz_ ^ mix64(seq)) : seq, idx};
+  if (root_fired_) {
+    // Replace-top: the first key filed while the root's event runs takes
+    // the root's slot, one sift-down instead of a pop plus a push.
+    root_fired_ = false;
+    sift_down(key);
+    return;
+  }
+  // Sift up: move parents down into the hole until key's slot is found.
+  std::size_t i = due_.size();
+  due_.push_back(key);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!key.before(due_[parent])) break;
+    due_[i] = due_[parent];
+    i = parent;
+  }
+  due_[i] = key;
 }
 
 V_HOT_PATH
@@ -102,6 +113,7 @@ void EventLoop::fire(std::uint32_t idx, SimTime at) {
   Action action;
   if (!h) action = std::move(n.action);
   free_node(idx);
+  --pending_;
   now_ = at;
   ++executed_;
   if (fire_hook_ != nullptr) fire_hook_(fire_ctx_, now_);
@@ -120,21 +132,53 @@ void EventLoop::fire(std::uint32_t idx, SimTime at) {
 }
 
 V_HOT_PATH
-bool EventLoop::step_untimed() {
+void EventLoop::sift_down(const Key& key) {
+  // Move the earliest child up into the hole at the root until no child
+  // fires before `key`.  A full group of children is scanned with a
+  // constant count, which the compiler unrolls; only the last group may be
+  // partial.  min_of is the index of the earliest of the `count` keys from
+  // `first` on.
+  const auto min_of = [this](std::size_t first, std::size_t count) {
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < first + count; ++c) {
+      if (due_[c].before(due_[best])) best = c;
+    }
+    return best;
+  };
+  const std::size_t n = due_.size();
+  std::size_t i = 0;
+  for (std::size_t first = 1; first < n; first = i * kArity + 1) {
+    const std::size_t best =
+        first + kArity <= n ? min_of(first, kArity) : min_of(first, n - first);
+    if (!due_[best].before(key)) break;
+    due_[i] = due_[best];
+    i = best;
+  }
+  due_[i] = key;
+}
+
+V_HOT_PATH
+bool EventLoop::step_until(SimTime deadline) {
+  if (root_fired_) {  // no key replaced the fired root: pop it
+    root_fired_ = false;
+    const Key last = due_.back();
+    due_.pop_back();
+    if (!due_.empty()) sift_down(last);
+  }
   // The lane holds events at now(); the heap may still hold events at
   // now() scheduled before them (smaller seq), which fire first.
   if (lane_head_ != kNilNode && (due_.empty() || due_.front().at != now_)) {
+    if (now_ > deadline) return false;
     const std::uint32_t idx = lane_head_;
     lane_head_ = node(idx).next;
     if (lane_head_ == kNilNode) lane_tail_ = kNilNode;
-    --pending_;
     fire(idx, now_);
     return true;
   }
-  if (due_.empty()) return false;
-  const Key key = pop_due();
-  --pending_;
-  fire(key.node, key.at);
+  if (due_.empty() || due_.front().at > deadline) return false;
+  const Key top = due_.front();
+  root_fired_ = true;  // its key stays at the root until replaced or popped
+  fire(top.node, top.at);
   return true;
 }
 
@@ -145,40 +189,21 @@ bool EventLoop::step_untimed() {
 // the number wall_vs_sim regressions actually care about.
 
 bool EventLoop::step() {
-  const auto wall_start = std::chrono::steady_clock::now();
-  const bool ran = step_untimed();
-  stats_.wall_ns += static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count());
-  return ran;
+  const WallTimer timer{stats_.wall_ns};
+  return step_until(kNever);
 }
 
 void EventLoop::run_until_idle() {
-  const auto wall_start = std::chrono::steady_clock::now();
-  while (step_untimed()) {
+  const WallTimer timer{stats_.wall_ns};
+  while (step_until(kNever)) {
   }
-  stats_.wall_ns += static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count());
 }
 
 void EventLoop::run_until(SimTime deadline) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (;;) {
-    if (lane_head_ != kNilNode) {
-      if (now_ > deadline) break;  // the lane is at now()
-    } else if (due_.empty() || due_.front().at > deadline) {
-      break;
-    }
-    step_untimed();
+  const WallTimer timer{stats_.wall_ns};
+  while (step_until(deadline)) {
   }
   if (now_ < deadline) now_ = deadline;
-  stats_.wall_ns += static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count());
 }
 
 }  // namespace v::sim

@@ -14,19 +14,24 @@
 // this freedom: same seed, same schedule; a failing seed reproduces the
 // interleaving in one command.
 //
-// Scheduler (see DESIGN.md §4i): one binary heap of 32-byte keys ordered
-// by the exact (at, tie, seq) key of the original priority_queue engine,
-// so firing order (FIFO and fuzz-hash) is the same as that engine's.  The
-// actions wait in a slab; the heap moves keys only.  With fuzz off, an
-// event scheduled at exactly now() skips the heap for a FIFO "same-instant
-// lane" that fires after the heap's events at now() and before anything
-// later — the same order (DESIGN.md §4i).
+// Scheduler (see DESIGN.md §4i): one 4-ary heap of 24-byte (at, tie)
+// keys.  tie is seq, or an injective hash of seq under fuzz, so (at, tie)
+// is exactly the (at, tie, seq) order of the original priority_queue
+// engine and firing order (FIFO and fuzz-hash) is the same as that
+// engine's.  A fired event's key stays at the root until the first key
+// the event files replaces it, so a pop and a push cost one sift-down.
+// The actions wait in a slab; the heap moves keys only.  With
+// fuzz off, an event scheduled at exactly now() skips the heap for a FIFO
+// "same-instant lane" that fires after the heap's events at now() and
+// before anything later — the same order (DESIGN.md §4i).
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -34,6 +39,7 @@
 #include "sim/action.hpp"
 #include "sim/time.hpp"
 #include "common/annotate.hpp"
+#include "common/check.hpp"
 
 namespace v::sim {
 
@@ -168,36 +174,35 @@ class EventLoop {
 
   /// Enter schedule-fuzz mode: break same-timestamp ties by a hash of
   /// (seed, seq) instead of scheduling order.  Fully deterministic for a
-  /// given seed.  Call before scheduling anything; events already queued
-  /// keep their FIFO tie keys.  Fuzz bypasses the same-instant lane: a
-  /// hashed tie may sort before events already pending, which only the
-  /// heap can express.
-  void enable_fuzz(std::uint64_t seed) noexcept {
-    fuzz_ = true;
-    fuzz_seed_ = seed;
+  /// given seed.  Must be called before anything is scheduled (V_CHECK):
+  /// every tie key then comes from one injective function of seq, which
+  /// is what lets (at, tie) order the heap alone.  Fuzz bypasses the
+  /// same-instant lane: a hashed tie may sort before events already
+  /// pending, which only the heap can express.
+  void enable_fuzz(std::uint64_t seed) {
+    V_CHECK(next_seq_ == 0);
+    fuzz_ = seed;
   }
-  [[nodiscard]] std::uint64_t fuzz_seed() const noexcept { return fuzz_seed_; }
 
  private:
   /// Ordering key of one pending event, plus the slab index of its action.
-  /// Keys are 32-byte PODs: heap sifts copy keys, never actions — the
+  /// Keys are 24-byte PODs: heap sifts copy keys, never actions — the
   /// action is written once into its slab node and read once at execution.
+  /// (at, tie) alone is a total order: tie is seq, or a bijection of seq
+  /// under fuzz, so no two pending keys share it (DESIGN.md §4i).
   struct Key {
     SimTime at;
-    std::uint64_t tie;  ///< seq normally; seeded hash of seq under fuzz
-    std::uint64_t seq;
+    std::uint64_t tie;   ///< seq normally; seeded hash of seq under fuzz
     std::uint32_t node;  ///< slab index of the action
-  };
-  /// Heap comparator: "a fires later than b".  A binary heap under this
-  /// predicate keeps the EARLIEST event at the front — the same total
-  /// order (at, tie, seq) the old priority_queue engine used.
-  struct Later {
-    bool operator()(const Key& a, const Key& b) const noexcept {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.tie != b.tie) return a.tie > b.tie;
-      return a.seq > b.seq;
+    /// Heap order: this key fires before `o`.
+    [[nodiscard]] bool before(const Key& o) const noexcept {
+      return at != o.at ? at < o.at : tie < o.tie;
     }
   };
+  /// Children per heap node (node i's are kArity*i+1 .. kArity*i+kArity):
+  /// a 4-ary heap is half as deep as a binary one, so a pop moves half as
+  /// many keys, and a group of four 24-byte keys is only 96 bytes to scan.
+  static constexpr std::size_t kArity = 4;
   /// Slab node: the parked action, or for a resume event the coroutine
   /// handle and its fiber (`resume` non-null, `action` empty).  Nodes live
   /// in fixed chunks (stable addresses, no vector-growth relocation) and
@@ -213,8 +218,6 @@ class EventLoop {
   static constexpr std::uint32_t kNilNode = 0xffffffffu;
   static constexpr std::size_t kChunkBits = 9;  // 512 nodes = 104 KiB / chunk
 
-  [[nodiscard]] std::uint64_t tie_key(std::uint64_t seq) const noexcept;
-
   V_HOT_PATH
   SimDuration clamp_delay(SimDuration delay) noexcept {
     if (delay < 0) {
@@ -226,12 +229,20 @@ class EventLoop {
   }
 
   /// Give the filled node `idx` its sequence number and file it: the lane
-  /// when `at` is now() and fuzz is off, else the heap.
+  /// when `at` is now() and fuzz is off, else the heap (sift up).
   void enqueue(SimTime at, std::uint32_t idx);
-  /// Fire node `idx` at time `at`: free it, advance now(), run it.
+  /// Fire node `idx` at time `at`: free it, take it off pending(), advance
+  /// now(), run it.
   void fire(std::uint32_t idx, SimTime at);
 
-  bool step_untimed();
+  /// Fire the next event if it is due at or before `deadline`: the lane's
+  /// head or the heap's front, whose key stays at the root while it runs
+  /// (root_fired_) so the first key it files can replace it; false when
+  /// nothing is due.  No host-clock reads.
+  bool step_until(SimTime deadline);
+  /// Place `key` in the heap's root slot and sift it down.
+  void sift_down(const Key& key);
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
   V_HOT_PATH
   Node& node(std::uint32_t idx) noexcept {
@@ -256,20 +267,19 @@ class EventLoop {
     free_head_ = idx;
   }
 
-  void push_due(const Key& key);
-  Key pop_due();
-
   FireHook fire_hook_ = nullptr;
   void* fire_ctx_ = nullptr;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  bool fuzz_ = false;
-  std::uint64_t fuzz_seed_ = 0;
+  std::optional<std::uint64_t> fuzz_;  ///< the fuzz seed; empty with fuzz off
   EventLoopStats stats_;
 
   std::size_t pending_ = 0;  ///< heap + lane
-  std::vector<Key> due_;     ///< binary heap (Later): every non-lane event
+  std::vector<Key> due_;     ///< 4-ary min-heap: every non-lane event
+  /// The root's event has fired (it runs now) and its key awaits
+  /// replacement by the next filed key or removal by the next step.
+  bool root_fired_ = false;
   /// Same-instant lane: a FIFO chain (through Node::next) of events
   /// scheduled at exactly now() with fuzz off.  Every lane event is at
   /// now(), so it needs no key; FIFO order is seq order.

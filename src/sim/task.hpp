@@ -292,22 +292,14 @@ class Fiber {
     root_ = run_root(std::move(body), state_, std::move(on_done)).handle;
   }
 
-  Fiber(Fiber&& other) noexcept
-      : root_(std::exchange(other.root_, nullptr)),
-        state_(std::move(other.state_)),
-        started_(other.started_) {}
-  Fiber& operator=(Fiber&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      root_ = std::exchange(other.root_, nullptr);
-      state_ = std::move(other.state_);
-      started_ = other.started_;
-    }
-    return *this;
-  }
+  /// Neither copied nor moved: the kernel emplaces each Fiber into its
+  /// process record, where it stays.
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
-  ~Fiber() { destroy(); }
+  /// Destroying the root frame cascades through suspended Co frames (RAII).
+  ~Fiber() {
+    if (root_) root_.destroy();
+  }
 
   /// Begin execution (runs until the first suspension point).
   void start() {
@@ -347,13 +339,6 @@ class Fiber {
     state->done = true;
     state->error = error;
     if (on_done) on_done(error);
-  }
-
-  void destroy() noexcept {
-    if (root_) {
-      root_.destroy();  // cascades through suspended Co frames via RAII
-      root_ = nullptr;
-    }
   }
 
   std::coroutine_handle<detail::FiberRoot::promise_type> root_ = nullptr;

@@ -18,6 +18,9 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -558,6 +561,124 @@ TEST(EngineDifferential, FuzzMatchesReferenceQueue) {
   for (const std::uint64_t seed : differential_seeds()) {
     run_differential(seed, true);
   }
+}
+
+// --- heap shapes ----------------------------------------------------------
+// The scheduler's heap is 4-ary: node i's children are 4i+1..4i+4, its
+// parent (i-1)/4, and the last group of children is usually partial.
+// Heaps of every size from 0 to 100 (so every fill of the last group, on
+// heaps up to five levels deep) drain against a sorted (at, tie, seq)
+// reference, built three ways: in reverse time order (every push sifts to
+// the root), on a grid of three timestamps (ties decide), and with a step
+// after every third push (the next push then replaces the fired root; a
+// step with no push in between pops it).  The fuzz half reads
+// V_FUZZ_SEED(S) like the differential suite and runs under ci.sh fuzz.
+
+enum class HeapBuild { kReverse, kGrid, kInterleaved };
+
+void drain_heap_of_size(HeapBuild build, std::size_t size,
+                        std::optional<std::uint64_t> fuzz) {
+  SCOPED_TRACE(::testing::Message()
+               << "build " << static_cast<int>(build) << ", size " << size
+               << (fuzz ? ", fuzz seed 0x" : ", fifo") << std::hex
+               << fuzz.value_or(0));
+  sim::EventLoop loop;
+  if (fuzz) loop.enable_fuzz(*fuzz);
+  std::set<std::tuple<sim::SimTime, std::uint64_t, std::uint64_t>> model;
+  std::vector<std::uint64_t> fired;
+  std::vector<std::uint64_t> expected;
+  std::uint64_t seq = 0;
+  auto push = [&](sim::SimTime at) {
+    const std::uint64_t id = seq++;
+    model.emplace(at, fuzz ? mix64(*fuzz ^ mix64(id)) : id, id);
+    loop.schedule_at(at, [&fired, id] { fired.push_back(id); });
+  };
+  auto pop = [&] {
+    expected.push_back(std::get<2>(*model.begin()));
+    model.erase(model.begin());
+    EXPECT_TRUE(loop.step());
+  };
+  while (model.size() < size) {
+    const auto k = static_cast<sim::SimTime>(seq);
+    switch (build) {
+      case HeapBuild::kReverse:
+        push(static_cast<sim::SimTime>(size) - k);
+        break;
+      case HeapBuild::kGrid:
+        push((1 + k % 3) * 1'000);
+        break;
+      case HeapBuild::kInterleaved:  // after now(): the heap, not the lane
+        push(loop.now() + 1 + static_cast<sim::SimTime>(mix64(seq) % 5));
+        if (seq % 3 == 2) pop();
+        break;
+    }
+  }
+  EXPECT_EQ(loop.pending(), size);
+  while (!model.empty()) pop();
+  EXPECT_FALSE(loop.step());
+  EXPECT_EQ(fired, expected);
+}
+
+void drain_every_heap_shape(std::optional<std::uint64_t> fuzz) {
+  for (const HeapBuild build :
+       {HeapBuild::kReverse, HeapBuild::kGrid, HeapBuild::kInterleaved}) {
+    for (std::size_t size = 0; size <= 100; ++size) {
+      drain_heap_of_size(build, size, fuzz);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(EngineBoundary, HeapOfEverySizeDrainsInOrderFifo) {
+  drain_every_heap_shape(std::nullopt);
+}
+
+TEST(EngineBoundary, HeapOfEverySizeDrainsInOrderFuzz) {
+  for (const std::uint64_t seed : differential_seeds()) {
+    drain_every_heap_shape(seed);
+  }
+}
+
+// Ties may drop seq only because every tie key comes from one injective
+// function of seq; switching to fuzz after a schedule would mix two.
+TEST(EngineBoundary, EnableFuzzAfterScheduleThrows) {
+  sim::EventLoop loop;
+  loop.schedule_after(1'000, [] {});
+  EXPECT_THROW(loop.enable_fuzz(kSeedBase), std::logic_error);
+  loop.run_until_idle();
+  EXPECT_THROW(loop.enable_fuzz(kSeedBase), std::logic_error);
+}
+
+// A fired event's key stays at the heap's root until the first key filed
+// after it replaces it or the next step pops it.  A step nested inside an
+// action, and an action that throws, must leave no stale root behind.
+TEST(EngineBoundary, NestedStepAndThrowingActionKeepTheOrder) {
+  sim::EventLoop loop;
+  std::vector<char> fired;
+  auto note = [&](char c) {
+    return [&fired, c] { fired.push_back(c); };
+  };
+  loop.schedule_at(1, [&] {
+    fired.push_back('a');
+    loop.schedule_at(6, note('f'));
+    EXPECT_TRUE(loop.step());  // fires b, which files c
+    loop.schedule_at(4, note('d'));
+  });
+  loop.schedule_at(2, [&] {
+    fired.push_back('b');
+    loop.schedule_at(3, note('c'));
+  });
+  loop.schedule_at(5, [&] {
+    fired.push_back('e');
+    throw std::runtime_error("action failed");
+  });
+  EXPECT_THROW(loop.run_until_idle(), std::runtime_error);
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.schedule_at(7, note('g'));
+  loop.run_until_idle();
+  EXPECT_EQ(std::string(fired.begin(), fired.end()), "abcdefg");
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_FALSE(loop.step());
 }
 
 // --- resume events --------------------------------------------------------
